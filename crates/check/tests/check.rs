@@ -19,12 +19,24 @@ fn bounded(max_states: usize) -> Limits {
     Limits { max_states, max_depth: 4_000 }
 }
 
+/// Exact `(states, terminals)` per labelled run, as the explorer reports
+/// them. Pruning depends on which machine fields the state fingerprint
+/// folds, so a change to that set shows up here as a count change.
+type Counts = &'static [(&'static str, usize, usize)];
+
+fn assert_counts(test: &str, got: &[(String, usize, usize)], want: Counts) {
+    let want: Vec<(String, usize, usize)> =
+        want.iter().map(|&(l, s, t)| (l.to_string(), s, t)).collect();
+    assert!(got == want.as_slice(), "{test}: explored state counts changed; got {got:?}");
+}
+
 /// The cheap scenarios: small enough to exhaust under every protocol in
 /// debug builds.
 const CHEAP: &[&str] = &["handoff", "barrier-phases", "counter", "three-way"];
 
 #[test]
 fn cheap_scenarios_pass_exhaustively_under_all_protocols() {
+    let mut counts = Vec::new();
     for name in CHEAP {
         let s = scenario::by_name(name).unwrap();
         for p in Protocol::ALL {
@@ -47,9 +59,20 @@ fn cheap_scenarios_pass_exhaustively_under_all_protocols() {
                 assert!(r.complete, "{name} under {} did not exhaust", p.name());
                 assert!(r.terminals > 0, "{name} under {} reached no terminal", p.name());
             }
+            counts.push((format!("{name}/{}", p.name()), r.states, r.terminals));
         }
     }
+    assert_counts("cheap scenarios", &counts, CHEAP_COUNTS);
 }
+
+const CHEAP_COUNTS: Counts = &[
+    ("handoff/sc", 156, 2), ("handoff/eager", 226, 2), ("handoff/lazy", 2377, 1),
+    ("handoff/lazy-ext", 226, 1), ("barrier-phases/sc", 213, 1), ("barrier-phases/eager", 271, 1),
+    ("barrier-phases/lazy", 8847, 8), ("barrier-phases/lazy-ext", 810, 8), ("counter/sc", 701, 2),
+    ("counter/eager", 1007, 2), ("counter/lazy", 30001, 3), ("counter/lazy-ext", 3091, 4),
+    ("three-way/sc", 2123, 6), ("three-way/eager", 3155, 6), ("three-way/lazy", 37367, 3),
+    ("three-way/lazy-ext", 2103, 3),
+];
 
 #[test]
 fn remaining_scenarios_pass_bounded_under_all_protocols() {
@@ -162,6 +185,7 @@ fn raced_checking_keeps_drf_scenarios_clean() {
     // detector's race-freedom verdict) still run and pass. Detector state
     // widens the state space, so the bigger scenarios get bounds.
     use lrc_check::explore::check_raced;
+    let mut counts = Vec::new();
     for name in ["handoff", "barrier-phases"] {
         let s = scenario::by_name(name).unwrap();
         for p in Protocol::ALL {
@@ -173,9 +197,17 @@ fn raced_checking_keeps_drf_scenarios_clean() {
                 r.counterexample.unwrap().failure
             );
             assert!(r.terminals > 0 || !r.complete, "{name} under {} explored nothing", p.name());
+            counts.push((format!("{name}/{}", p.name()), r.states, r.terminals));
         }
     }
+    assert_counts("raced checking", &counts, RACED_COUNTS);
 }
+
+const RACED_COUNTS: Counts = &[
+    ("handoff/sc", 156, 2), ("handoff/eager", 226, 2), ("handoff/lazy", 2384, 2),
+    ("handoff/lazy-ext", 229, 2), ("barrier-phases/sc", 213, 1), ("barrier-phases/eager", 271, 1),
+    ("barrier-phases/lazy", 8847, 8), ("barrier-phases/lazy-ext", 810, 8),
+];
 
 #[test]
 fn racy_scenario_yields_minimized_race_counterexample() {
@@ -244,6 +276,7 @@ fn nack_choice_point_passes_on_every_scenario() {
     // the point can never fire) get one run each proving the machinery is
     // inert for them.
     use lrc_check::explore::check_nacked;
+    let mut counts = Vec::new();
     for s in scenario::all() {
         for p in Protocol::ALL {
             let nths: &[u64] = if p.is_lazy() { &[0] } else { &[0, 1, 2] };
@@ -262,10 +295,35 @@ fn nack_choice_point_passes_on_every_scenario() {
                     s.name,
                     p.name()
                 );
+                counts.push((format!("{}/{}/{nth}", s.name, p.name()), r.states, r.terminals));
             }
         }
     }
+    assert_counts("nack choice point", &counts, NACK_COUNTS);
 }
+
+const NACK_COUNTS: Counts = &[
+    ("handoff/sc/0", 192, 3), ("handoff/sc/1", 182, 3), ("handoff/sc/2", 182, 3),
+    ("handoff/eager/0", 288, 3), ("handoff/eager/1", 268, 3), ("handoff/eager/2", 268, 3),
+    ("handoff/lazy/0", 2377, 1), ("handoff/lazy-ext/0", 226, 1), ("counter/sc/0", 1243, 4),
+    ("counter/sc/1", 1380, 6), ("counter/sc/2", 1397, 8), ("counter/eager/0", 1901, 4),
+    ("counter/eager/1", 2110, 6), ("counter/eager/2", 2120, 8), ("counter/lazy/0", 12001, 2),
+    ("counter/lazy-ext/0", 3091, 4), ("barrier-phases/sc/0", 325, 2),
+    ("barrier-phases/sc/1", 279, 2), ("barrier-phases/sc/2", 279, 2),
+    ("barrier-phases/eager/0", 383, 2), ("barrier-phases/eager/1", 337, 2),
+    ("barrier-phases/eager/2", 337, 2), ("barrier-phases/lazy/0", 8847, 8),
+    ("barrier-phases/lazy-ext/0", 810, 8), ("two-locks/sc/0", 1584, 3),
+    ("two-locks/sc/1", 1584, 3), ("two-locks/sc/2", 1584, 3), ("two-locks/eager/0", 2371, 3),
+    ("two-locks/eager/1", 2371, 3), ("two-locks/eager/2", 2371, 3), ("two-locks/lazy/0", 12001, 2),
+    ("two-locks/lazy-ext/0", 5636, 3), ("conflict-evict/sc/0", 625, 2),
+    ("conflict-evict/sc/1", 625, 2), ("conflict-evict/sc/2", 625, 2),
+    ("conflict-evict/eager/0", 4384, 3), ("conflict-evict/eager/1", 4384, 3),
+    ("conflict-evict/eager/2", 4384, 3), ("conflict-evict/lazy/0", 12001, 1),
+    ("conflict-evict/lazy-ext/0", 7982, 3), ("three-way/sc/0", 3631, 12),
+    ("three-way/sc/1", 3721, 18), ("three-way/sc/2", 3601, 18), ("three-way/eager/0", 5769, 12),
+    ("three-way/eager/1", 5805, 18), ("three-way/eager/2", 5565, 18),
+    ("three-way/lazy/0", 12001, 3), ("three-way/lazy-ext/0", 2103, 3),
+];
 
 #[test]
 fn nacked_exploration_reaches_clean_terminals_on_natural_order() {
@@ -303,6 +361,7 @@ fn dropped_messages_recover_under_every_protocol() {
     use lrc_core::{FaultPlan, MsgClass};
     let s = scenario::by_name("handoff").unwrap();
     let script = s.script();
+    let mut counts = Vec::new();
     for p in Protocol::ALL {
         for class in [MsgClass::Request, MsgClass::Response, MsgClass::Notice, MsgClass::Sync] {
             for n in 0..4u64 {
@@ -324,7 +383,47 @@ fn dropped_messages_recover_under_every_protocol() {
                 assert!(f.is_none(), "{} drop {}#{n}: {}", p.name(), class.name(), f.unwrap());
             }
         }
+        // Explore (bounded) around one dropped response, so link-layer
+        // state (sequence numbers, retransmit buffer, dedupe set) takes
+        // part in fingerprint pruning.
+        let plan = FaultPlan::drop_nth(MsgClass::Response, 1);
+        let (distinct, terminals) =
+            explore_counts(build_machine_with_plan(&s, p, Fault::None, plan), 2_000);
+        counts.push((p.name().to_string(), distinct, terminals));
     }
+    assert_counts("dropped messages", &counts, DROPPED_COUNTS);
+}
+
+const DROPPED_COUNTS: Counts = &[
+    ("sc", 2150, 2), ("eager", 2157, 2), ("lazy", 2211, 2), ("lazy-ext", 2123, 2),
+];
+
+/// Depth-first exploration with fingerprint pruning, the same walk as
+/// `lrc_check::explore::check`, for machines built outside it. Stops after
+/// `max_states` expanded states and returns `(distinct states generated,
+/// terminals)`: the first counts every fingerprint pruning kept apart.
+fn explore_counts(root: lrc_core::Machine, max_states: usize) -> (usize, usize) {
+    let mut visited = std::collections::HashSet::from([root.fingerprint()]);
+    let mut stack = vec![root];
+    let (mut states, mut terminals) = (0, 0);
+    while let Some(m) = stack.pop() {
+        states += 1;
+        if states > max_states {
+            break;
+        }
+        let pending = m.num_pending();
+        if pending == 0 {
+            terminals += 1;
+        }
+        for n in (0..pending).rev() {
+            let mut child = m.clone();
+            child.step_choice(n);
+            if visited.insert(child.fingerprint()) {
+                stack.push(child);
+            }
+        }
+    }
+    (visited.len(), terminals)
 }
 
 #[test]

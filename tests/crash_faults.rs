@@ -228,4 +228,13 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
         "with reclamation intact the same crash timing must pass: {:?}",
         clean.rendered
     );
+
+    // Exact explored state counts (crash state takes part in fingerprint
+    // pruning): the failing timing, then the clean run at that timing.
+    let counts = |r: &lrc_check::explore::CheckReport| (r.states, r.terminals);
+    assert_eq!(
+        (n, counts(&outcome.report), counts(&clean.report)),
+        (2, (369, 3), (458, 2)),
+        "crash-timing search: explored state counts changed"
+    );
 }
