@@ -30,6 +30,7 @@
 //! collection used when a weak transition fans out write notices (the paper
 //! collects acks at the home and acknowledges all pending writers at once).
 
+use lrc_json::{json_struct, Cx, Idx, OrDefault, Row, Seq, Value, Via};
 use lrc_sim::NodeId;
 
 /// A set of node ids, wide enough for the largest supported machine
@@ -172,6 +173,18 @@ impl FromIterator<NodeId> for NodeSet {
     }
 }
 
+/// A node set travels as its ascending list of node ids, each checked
+/// against the decoding context's node count.
+impl Via<NodeSet> for Idx {
+    fn enc(x: &NodeSet) -> Value {
+        Value::Array(nodes_in(*x).map(|n| Idx::enc(&n)).collect())
+    }
+    fn dec(v: &Value, cx: &Cx) -> Option<NodeSet> {
+        let cx = Cx { bound: cx.bound.min(NodeSet::CAPACITY) };
+        v.as_array()?.iter().map(|e| Idx::dec(e, &cx)).collect()
+    }
+}
+
 impl std::fmt::Binary for NodeSet {
     /// Renders like the binary of the old `u64` masks (no leading zeros),
     /// so directory dumps and violation reports keep their shape.
@@ -208,7 +221,7 @@ pub enum DirState {
 /// An in-progress acknowledgement collection (invalidation acks for the
 /// eager protocols, write-notice acks for the lazy ones). The home collects
 /// them and then releases every waiter with a single ack apiece.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct AckCollection {
     /// Acks still outstanding.
     pub awaiting: u32,
@@ -220,6 +233,14 @@ pub struct AckCollection {
     /// forge exactly the acks a dead node can never send.
     pub from: Vec<NodeId>,
 }
+
+json_struct!(AckCollection {
+    awaiting,
+    waiters: Seq<Idx>,
+    // Absent from v1 snapshots; an empty multiset only disables the
+    // crash-time write-off, which v1 snapshots cannot need.
+    from: OrDefault<Seq<Idx>>,
+});
 
 impl AckCollection {
     /// Remove one owed ack from `node`. Returns false when none was owed
@@ -236,7 +257,7 @@ impl AckCollection {
 }
 
 /// Directory entry for one block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct DirEntry {
     sharers: NodeSet,
     writers: NodeSet,
@@ -254,30 +275,30 @@ pub struct DirEntry {
     pub overflow: bool,
 }
 
+json_struct!(DirEntry {
+    sharers: Idx,
+    writers: Idx,
+    notified: Idx,
+    pending,
+    busy,
+    overflow,
+} where DirEntry::well_formed);
+
+/// Snapshots list the directory as rows keyed by line.
+impl Row for DirEntry {
+    const KEY: &'static str = "line";
+}
+
 impl DirEntry {
     /// A fresh entry (Uncached).
     pub fn new() -> Self {
         DirEntry::default()
     }
 
-    /// Rebuild an entry from checkpointed parts. Fails when the structural
-    /// invariants (writers ⊆ sharers, notified ⊆ sharers) do not hold —
-    /// corrupt checkpoints surface as typed errors, not debug panics.
-    pub fn from_parts(
-        sharers: NodeSet,
-        writers: NodeSet,
-        notified: NodeSet,
-        pending: Option<AckCollection>,
-        busy: bool,
-        overflow: bool,
-    ) -> Result<Self, String> {
-        if !(writers & !sharers).is_empty() {
-            return Err("directory entry: writers must be a subset of sharers".into());
-        }
-        if !(notified & !sharers).is_empty() {
-            return Err("directory entry: notified must be a subset of sharers".into());
-        }
-        Ok(DirEntry { sharers, writers, notified, pending, busy, overflow })
+    /// The structural invariants a decoded entry must satisfy: writers
+    /// and notified nodes are sharers.
+    fn well_formed(&self) -> bool {
+        (self.writers & !self.sharers).is_empty() && (self.notified & !self.sharers).is_empty()
     }
 
     /// Current derived state.

@@ -31,6 +31,9 @@
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
+#[macro_use]
+mod state;
+
 pub mod directory;
 pub mod machine;
 pub mod msg;

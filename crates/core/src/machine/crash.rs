@@ -42,13 +42,14 @@ use super::{Event, Machine};
 use crate::directory::NodeSet;
 use crate::msg::{Msg, MsgKind, WriteGrant};
 use crate::node::{Node, ProcStatus};
+use lrc_json::{Dec, Fixed, Idx, Plain};
 use lrc_mesh::CrashPlan;
 use lrc_sim::{Cycle, DataLossEvent, LineAddr, NodeId, StallReason};
 use lrc_trace::CrashEv;
 
 /// All crash-subsystem state, boxed behind `Machine::crash` (`None` = no
 /// plan armed, zero cost).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CrashCtx {
     /// The installed plan.
     pub plan: CrashPlan,
@@ -68,6 +69,18 @@ pub(crate) struct CrashCtx {
     /// `wbk_to[src][dst]` = unacked write-backs, same write-off rule.
     pub wbk_to: Vec<Vec<u32>>,
 }
+
+// The plan travels in the snapshot's `fault_plan`; restore builds a fresh
+// context from it and overlays the runtime state.
+state! { in place CrashCtx {
+    config plan,
+    logical crashed: Idx,
+    logical crashed_unfinished: Plain,
+    logical suspected: Fixed<Idx>,
+    timing last_heard: Fixed<Fixed<Dec>>,
+    logical wt_to: Fixed<Fixed<Plain>>,
+    logical wbk_to: Fixed<Fixed<Plain>>,
+}}
 
 impl CrashCtx {
     /// Fresh context for an `n`-node machine.

@@ -20,14 +20,10 @@ impl Machine {
         loop {
             let op = match self.nodes[p].deferred_op.take() {
                 Some(op) => op,
-                None => {
-                    // The machine's only `next_op` call site: the per-proc
-                    // consumption count is what checkpoints store instead of
-                    // workload internals (restore replays it against a fresh
-                    // instance).
-                    self.ops_consumed[p] += 1;
-                    self.workload.next_op(p)
-                }
+                // The machine's only `next_op` call site: the slot counts
+                // consumption, which checkpoints store instead of workload
+                // internals (restore replays it against a fresh instance).
+                None => self.workload.next_op(p),
             };
             match op {
                 Op::Compute(c) => {

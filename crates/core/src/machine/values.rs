@@ -27,8 +27,11 @@
 //! words; DRF guarantees at most one node holds an unflushed id per word
 //! at quiescence — two holders are reported as a conflict.
 
+use crate::state::Fold;
+use lrc_json::{json, member, Cx, Dec, FromJson, Idx, Plain, Seq, ToJson, Value, Via};
 use lrc_sim::refint::WriteId;
 use lrc_sim::ProcId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 
 /// Final symbolic memory image: `(line, word) → last writer`.
@@ -97,28 +100,59 @@ impl ValueTracker {
         }
         (mem, conflicts)
     }
+}
 
-    /// Borrow the tracker's three components for checkpointing:
-    /// `(seq, home, unflushed)`. All `BTreeMap`s, so iteration is sorted
-    /// and two captures of equal trackers serialize identically.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn save_parts(
-        &self,
-    ) -> (&[u64], &SymbolicMemory, &BTreeMap<(ProcId, u64), BTreeMap<usize, WriteId>>) {
-        (&self.seq, &self.home, &self.unflushed)
+/// Snapshot rows: a home word as `[line, word, writer, seq]`, an unflushed
+/// word (grouped per `(proc, line)`) as `[word, writer, seq]`.
+type HomeRow = (Dec, Plain, Idx, Dec);
+type WordRow = (Plain, Idx, Dec);
+
+impl ToJson for ValueTracker {
+    fn to_json(&self) -> Value {
+        let home: Vec<_> =
+            self.home.iter().map(|(&(line, word), id)| (line, word, id.proc, id.seq)).collect();
+        let unflushed = self.unflushed.iter().map(|(&(proc, line), words)| {
+            let words: Vec<_> = words.iter().map(|(&w, id)| (w, id.proc, id.seq)).collect();
+            json!({
+                "proc": Idx::enc(&proc),
+                "line": Dec::enc(&line),
+                "words": Seq::<WordRow>::enc(&words),
+            })
+        });
+        json!({
+            "seq": Seq::<Dec>::enc(&self.seq),
+            "home": Seq::<HomeRow>::enc(&home),
+            "unflushed": unflushed.collect::<Value>(),
+        })
     }
+}
 
-    /// Rebuild a tracker from checkpointed parts.
-    pub(crate) fn from_parts(
-        seq: Vec<u64>,
-        home: SymbolicMemory,
-        unflushed: BTreeMap<(ProcId, u64), BTreeMap<usize, WriteId>>,
-    ) -> Self {
-        ValueTracker { seq, home, unflushed }
+/// Decodes only against a node-count bound: `seq` holds one entry per
+/// processor.
+impl FromJson for ValueTracker {
+    fn from_json(v: &Value) -> Option<ValueTracker> {
+        Self::from_json_in(v, &Cx::UNBOUNDED)
     }
+    fn from_json_in(v: &Value, cx: &Cx) -> Option<ValueTracker> {
+        let seq: Vec<u64> = Seq::<Dec>::dec(member(v, "seq"), cx)?;
+        if seq.len() != cx.bound {
+            return None;
+        }
+        let id = |proc, seq| WriteId { proc, seq };
+        let home: Vec<(u64, usize, ProcId, u64)> = Seq::<HomeRow>::dec(member(v, "home"), cx)?;
+        let home = home.into_iter().map(|(l, w, p, s)| ((l, w), id(p, s))).collect();
+        let mut unflushed = BTreeMap::new();
+        for row in member(v, "unflushed").as_array()? {
+            let words: Vec<(usize, ProcId, u64)> = Seq::<WordRow>::dec(member(row, "words"), cx)?;
+            let key = (Idx::dec(member(row, "proc"), cx)?, Dec::dec(member(row, "line"), cx)?);
+            unflushed.insert(key, words.into_iter().map(|(w, p, s)| (w, id(p, s))).collect());
+        }
+        Some(ValueTracker { seq, home, unflushed })
+    }
+}
 
-    /// Fold the tracker state into a hasher (state fingerprinting).
-    pub(crate) fn hash_into<H: std::hash::Hasher>(&self, h: &mut H) {
+impl Fold for ValueTracker {
+    fn fold(&self, h: &mut DefaultHasher) {
         use std::hash::Hash;
         self.seq.hash(h);
         for (k, v) in &self.home {

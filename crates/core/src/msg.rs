@@ -5,6 +5,7 @@
 //! messages are a bare header, data messages add a full cache line, and
 //! write-through / write-back messages add only the dirty words.
 
+use lrc_json::{json_enum, json_struct, Dec, Idx};
 use lrc_sim::{BarrierId, LineAddr, LockId, NodeId, TrafficClass};
 
 /// Grant mode returned by the home on a write request.
@@ -123,6 +124,39 @@ pub struct Msg {
     /// Payload.
     pub kind: MsgKind,
 }
+
+json_struct!(Msg { src: Idx, dst: Idx, kind });
+
+json_enum!(WriteGrant as str { Immediate => "immediate", Pending => "pending" });
+
+json_enum!(MsgKind {
+    ReadReq { line: Dec } => "ReadReq",
+    WriteReq { line: Dec, had_copy, words: Dec } => "WriteReq",
+    WriteThrough { line: Dec, words: Dec } => "WriteThrough",
+    WriteBack { line: Dec, words: Dec } => "WriteBack",
+    EvictNotify { line: Dec, was_writer } => "EvictNotify",
+    ReadReply { line: Dec, weak } => "ReadReply",
+    WriteReply { line: Dec, grant, with_data, weak } => "WriteReply",
+    WriteAck { line: Dec } => "WriteAck",
+    WriteThroughAck { line: Dec } => "WriteThroughAck",
+    WriteBackAck { line: Dec } => "WriteBackAck",
+    Invalidate { line: Dec } => "Invalidate",
+    WriteNotice { line: Dec } => "WriteNotice",
+    Forward { line: Dec, requester as "req": Idx, for_write, ep: Dec } => "Forward",
+    InvAck { line: Dec } => "InvAck",
+    NoticeAck { line: Dec } => "NoticeAck",
+    OwnerData { line: Dec, for_write } => "OwnerData",
+    CopyBack { line: Dec, demoted_to_shared as "demoted", ep: Dec } => "CopyBack",
+    ForwardNack { line: Dec, requester as "req": Idx, for_write, ep: Dec } => "ForwardNack",
+    LockAcq { lock } => "LockAcq",
+    LockGrant { lock } => "LockGrant",
+    LockRel { lock } => "LockRel",
+    BarrierArrive { bar } => "BarrierArrive",
+    BarrierRelease { bar } => "BarrierRelease",
+    BusyNack { line: Dec, for_write, had_copy, words: Dec, attempt } => "BusyNack",
+    ForwardCancel { line: Dec, ep: Dec } => "ForwardCancel",
+    Heartbeat {} => "Heartbeat",
+});
 
 impl MsgKind {
     /// Wire size in bytes, given the machine's header/line/word sizes.

@@ -3,6 +3,7 @@
 //! outstanding-transaction table (the equivalent of DASH RAC entries).
 
 use crate::sync::{BarrierManager, LockManager};
+use lrc_json::{json_enum, json_struct, Dec, InPlace, Pairs, Plain, Row, Rows, Seq};
 use lrc_mem::{Bus, Cache, CoalescingBuffer, MemoryModule, TimedResource, WriteBuffer};
 use lrc_sim::{
     BarrierId, Cycle, FxHashMap, FxHashSet, LineAddr, LockId, MachineConfig, Op, Protocol,
@@ -37,6 +38,18 @@ pub enum ProcStatus {
     Crashed,
 }
 
+json_enum!(ProcStatus {
+    Running {} => "running",
+    StalledRead(line: Dec) => "sread",
+    StalledWriteFull {} => "swfull",
+    StalledWrite(line: Dec) => "swrite",
+    Releasing(sync) => "releasing",
+    WaitingLock(lock) => "wlock",
+    InBarrier(bar) => "inbar",
+    Finished {} => "finished",
+    Crashed {} => "crashed",
+});
+
 /// What to do once the release fence completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PendingSync {
@@ -45,6 +58,8 @@ pub enum PendingSync {
     /// Send `BarrierArrive` and wait in the barrier.
     Barrier(BarrierId),
 }
+
+json_enum!(PendingSync { LockRelease(lock) => "lockrel", Barrier(bar) => "barrier" });
 
 /// An outstanding coherence transaction for one line (RAC entry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -72,6 +87,21 @@ pub struct Outstanding {
     pub stale_on_fill: bool,
 }
 
+json_struct!(Outstanding {
+    waiting_data,
+    waiting_ack,
+    early_ack,
+    resume_proc,
+    retire_wb,
+    apply_words: Dec,
+    stale_on_fill,
+});
+
+/// Snapshots list a node's transactions as rows keyed by line.
+impl Row for Outstanding {
+    const KEY: &'static str = "line";
+}
+
 impl Outstanding {
     /// Transaction fully complete (entry can be deallocated)?
     pub fn done(&self) -> bool {
@@ -80,7 +110,7 @@ impl Outstanding {
 }
 
 /// All state co-located at one node of the machine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Node {
     /// The processor's execution status.
     pub status: ProcStatus,
@@ -138,6 +168,30 @@ pub struct Node {
     /// Barrier service for barriers homed here.
     pub barriers: BarrierManager,
 }
+
+state! { in place Node {
+    logical status: Plain,
+    timing stall_start: Dec,
+    stats stall_kind: Plain,
+    logical deferred_op: Plain,
+    logical step_scheduled: Plain,
+    logical cache: InPlace,
+    logical wb: InPlace,
+    logical cb: InPlace,
+    timing mem: InPlace,
+    timing bus: InPlace,
+    timing pp: InPlace,
+    logical outstanding: Rows<Dec>,
+    logical pending_invals: Seq<Dec>,
+    logical inval_all: Plain,
+    logical delayed_writes: Pairs<Dec, Dec>,
+    logical wt_unacked: Plain,
+    logical wbk_unacked: Plain,
+    timing inval_done_at: Dec,
+    logical parked_forwards: Pairs<Dec, Plain>,
+    logical locks: InPlace,
+    logical barriers: InPlace,
+}}
 
 impl Node {
     /// Build a node for `cfg`.

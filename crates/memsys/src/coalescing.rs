@@ -8,6 +8,7 @@
 //! same line and drains to the home node in the background; a release must
 //! wait until the buffer has drained and all flushes are acknowledged.
 
+use lrc_json::{Cx, Dec, Overlay, Seq, Value, Via};
 use lrc_sim::LineAddr;
 use std::collections::VecDeque;
 
@@ -123,17 +124,23 @@ impl CoalescingBuffer {
     pub fn iter(&self) -> impl Iterator<Item = &CbEntry> {
         self.entries.iter()
     }
+}
 
-    /// Replace the buffered entries with a checkpointed FIFO listing
-    /// (oldest first). Returns false (buffer unchanged) if the listing
-    /// exceeds capacity.
-    pub fn restore_entries(&mut self, entries: &[CbEntry]) -> bool {
-        if entries.len() > self.capacity {
-            return false;
+/// Checkpoint form: the entries oldest first, each as `[line, words]`
+/// (addresses and masks as decimal strings). Restores only within
+/// capacity.
+impl Overlay for CoalescingBuffer {
+    fn save(&self) -> Value {
+        let rows: Vec<_> = self.entries.iter().map(|e| (e.line, e.words)).collect();
+        Seq::<(Dec, Dec)>::enc(&rows)
+    }
+    fn load(&mut self, v: &Value, cx: &Cx) -> Option<()> {
+        let rows: Vec<_> = Seq::<(Dec, Dec)>::dec(v, cx)?;
+        if rows.len() > self.capacity {
+            return None;
         }
-        self.entries.clear();
-        self.entries.extend(entries.iter().copied());
-        true
+        self.entries = rows.into_iter().map(|(line, words)| CbEntry { line, words }).collect();
+        Some(())
     }
 }
 

@@ -6,6 +6,7 @@
 //! protocol marks them ready; a full buffer stalls the processor — those
 //! stall cycles are the "write buffer" bucket of the overhead figures.
 
+use lrc_json::{Cx, Dec, Overlay, Plain, Seq, Value, Via};
 use lrc_sim::LineAddr;
 use std::collections::VecDeque;
 
@@ -138,17 +139,23 @@ impl WriteBuffer {
     pub fn iter(&self) -> impl Iterator<Item = &WbEntry> {
         self.entries.iter()
     }
+}
 
-    /// Replace the buffered entries with a checkpointed FIFO listing
-    /// (oldest first). Returns false (buffer unchanged) if the listing
-    /// exceeds capacity.
-    pub fn restore_entries(&mut self, entries: &[WbEntry]) -> bool {
-        if entries.len() > self.capacity {
-            return false;
+/// Checkpoint form: the entries oldest first, each as `[line, words, ready, issued]`
+/// (addresses and masks as decimal strings). Restores only within
+/// capacity.
+impl Overlay for WriteBuffer {
+    fn save(&self) -> Value {
+        let rows: Vec<_> = self.entries.iter().map(|e| (e.line, e.words, e.ready, e.issued)).collect();
+        Seq::<(Dec, Dec, Plain, Plain)>::enc(&rows)
+    }
+    fn load(&mut self, v: &Value, cx: &Cx) -> Option<()> {
+        let rows: Vec<_> = Seq::<(Dec, Dec, Plain, Plain)>::dec(v, cx)?;
+        if rows.len() > self.capacity {
+            return None;
         }
-        self.entries.clear();
-        self.entries.extend(entries.iter().copied());
-        true
+        self.entries = rows.into_iter().map(|(line, words, ready, issued)| WbEntry { line, words, ready, issued }).collect();
+        Some(())
     }
 }
 

@@ -12,6 +12,7 @@
 //! deterministic `drop_nth` mode so the model checker can kill exactly one
 //! chosen message without any randomness at all.
 
+use lrc_json::{json_struct, Dec, Plain, Seq};
 use lrc_sim::{Cycle, NodeId, Rng};
 
 /// Coarse class of a message for per-class fault rates. The mesh does not
@@ -272,20 +273,6 @@ impl FaultCounters {
     }
 }
 
-/// Checkpointed injector state: raw decision-stream positions, per-class
-/// transmission counts, and the fault counters. The plan itself is not
-/// included — the restoring caller reinstalls it and must supply the same
-/// one for the resumed fault pattern to match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectorState {
-    /// Raw [`Rng::state`] of each per-class decision stream.
-    pub streams: [u64; MsgClass::COUNT],
-    /// Transmissions seen per class (drives `drop_nth`).
-    pub sent: [u64; MsgClass::COUNT],
-    /// Faults injected so far.
-    pub counters: FaultCounters,
-}
-
 /// The injector: the plan plus its live decision streams and counters.
 #[derive(Debug, Clone)]
 pub(crate) struct Injector {
@@ -296,6 +283,11 @@ pub(crate) struct Injector {
     sent: [u64; MsgClass::COUNT],
     counters: FaultCounters,
 }
+
+// Checkpoint form: decision-stream positions, per-class transmission
+// counts and counters. The plan is not included: the restore target is
+// built with the same one, or the resumed fault pattern would differ.
+json_struct!(Injector in place { streams: Seq<Dec>, sent: Seq<Dec>, counters: Plain });
 
 /// Fault verdict for one transmission, before timing is applied.
 #[derive(Debug, Clone, Copy)]
@@ -325,23 +317,6 @@ impl Injector {
 
     pub(crate) fn counters(&self) -> FaultCounters {
         self.counters
-    }
-
-    /// Checkpoint the live decision state.
-    pub(crate) fn save_state(&self) -> InjectorState {
-        InjectorState {
-            streams: std::array::from_fn(|i| self.streams[i].state()),
-            sent: self.sent,
-            counters: self.counters,
-        }
-    }
-
-    /// Restore a checkpoint taken by [`Injector::save_state`]; the plan is
-    /// left untouched.
-    pub(crate) fn restore_state(&mut self, st: &InjectorState) {
-        self.streams = std::array::from_fn(|i| Rng::from_state(st.streams[i]));
-        self.sent = st.sent;
-        self.counters = st.counters;
     }
 
     /// Decide the fate of one transmission of `class`. Always draws the

@@ -7,11 +7,12 @@
 #![allow(clippy::new_without_default)]
 
 pub mod fault;
+mod json;
 pub mod network;
 pub mod topology;
 
 pub use fault::{
-    Arrival, CrashPlan, Delivery, FaultCounters, FaultPlan, FaultRates, InjectorState, MsgClass,
+    Arrival, CrashPlan, Delivery, FaultCounters, FaultPlan, FaultRates, MsgClass,
 };
-pub use network::{NetError, Network, NetworkState, NiBusy, NiSnapshot};
+pub use network::{NetError, Network, NiBusy};
 pub use topology::Mesh;

@@ -18,7 +18,8 @@
 //! plan (or an all-zero one) the timing arithmetic is bit-identical to the
 //! plain path.
 
-use crate::fault::{Delivery, FaultCounters, FaultPlan, Injector, InjectorState, MsgClass};
+use crate::fault::{Delivery, FaultCounters, FaultPlan, Injector, MsgClass};
+use lrc_json::{json_struct, Armed, Dec, Fixed, InPlace, Plain, Seq};
 use crate::topology::Mesh;
 use lrc_sim::{Cycle, MachineConfig, NodeId};
 use std::collections::VecDeque;
@@ -142,37 +143,23 @@ impl NiState {
     }
 }
 
-/// Checkpointed NI queue occupancy (see [`NiState`]): per-node completion
-/// times of held slots, front-sorted as the live queues keep them, plus
-/// the lifetime peaks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NiSnapshot {
-    /// Per-destination held ingress slots (completion times, sorted).
-    pub ingress: Vec<Vec<Cycle>>,
-    /// Per-source held egress slots (completion times, nondecreasing).
-    pub egress: Vec<Vec<Cycle>>,
-    /// Lifetime peak ingress occupancy.
-    pub peak_ingress: usize,
-    /// Lifetime peak egress occupancy.
-    pub peak_egress: usize,
-}
+// Checkpoint forms: the live state only. Topology, timing parameters and
+// queue capacities come from the configuration (and fault plan) the
+// restore target is built from, and the shapes must agree.
+json_struct!(NiState in place {
+    ingress: Fixed<Seq<Dec>>,
+    egress: Fixed<Seq<Dec>>,
+    peak_ingress: Plain,
+    peak_egress: Plain,
+});
 
-/// Checkpointed network state, produced by [`Network::save_state`] and
-/// consumed by [`Network::restore_state`]. Pure data — serialization lives
-/// with the machine-level snapshot code.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkState {
-    /// Per-node outbound-port free times.
-    pub send_free: Vec<Cycle>,
-    /// Messages injected so far.
-    pub msgs: u64,
-    /// Bytes injected so far.
-    pub bytes_total: u64,
-    /// Finite NI queue state, when limits are installed.
-    pub ni: Option<NiSnapshot>,
-    /// Fault-injector decision state, when an active plan is installed.
-    pub injector: Option<InjectorState>,
-}
+json_struct!(Network in place {
+    send_free: Fixed<Dec>,
+    msgs: Dec,
+    bytes_total: Dec,
+    ni: Armed<InPlace>,
+    injector: Armed<InPlace>,
+});
 
 /// Stateful network timing model: owns the per-node NI port availability.
 #[derive(Debug, Clone)]
@@ -441,81 +428,6 @@ impl Network {
             }
         }
         Ok(Delivery { first: Some(first), dup })
-    }
-
-    /// Checkpoint every piece of live network state: port availability,
-    /// traffic counters, NI queue occupancy, and the fault injector's
-    /// decision streams. Topology and timing parameters are excluded — a
-    /// restore target is built from the same [`MachineConfig`] (and plan)
-    /// and [`Network::restore_state`] checks the shapes line up.
-    pub fn save_state(&self) -> NetworkState {
-        NetworkState {
-            send_free: self.send_free.clone(),
-            msgs: self.msgs,
-            bytes_total: self.bytes_total,
-            ni: self.ni.as_deref().map(|ni| NiSnapshot {
-                ingress: ni.ingress.iter().map(|q| q.iter().copied().collect()).collect(),
-                egress: ni.egress.iter().map(|q| q.iter().copied().collect()).collect(),
-                peak_ingress: ni.peak_ingress,
-                peak_egress: ni.peak_egress,
-            }),
-            injector: self.injector.as_deref().map(|inj| inj.save_state()),
-        }
-    }
-
-    /// Restore a checkpoint taken by [`Network::save_state`] into a network
-    /// built from the same config (and fault plan). Fails — leaving the
-    /// network partially untouched only in the error cases, which the
-    /// caller treats as fatal — when the node count, NI-limit presence, or
-    /// injector presence disagrees with this network's construction.
-    pub fn restore_state(&mut self, st: &NetworkState) -> Result<(), String> {
-        if st.send_free.len() != self.send_free.len() {
-            return Err(format!(
-                "network checkpoint has {} nodes, this machine has {}",
-                st.send_free.len(),
-                self.send_free.len()
-            ));
-        }
-        match (self.ni.as_deref_mut(), st.ni.as_ref()) {
-            (None, None) => {}
-            (Some(ni), Some(snap)) => {
-                if snap.ingress.len() != ni.ingress.len() || snap.egress.len() != ni.egress.len() {
-                    return Err("NI queue checkpoint has a different node count".into());
-                }
-                for (dst, q) in ni.ingress.iter_mut().zip(&snap.ingress) {
-                    dst.clear();
-                    dst.extend(q.iter().copied());
-                }
-                for (dst, q) in ni.egress.iter_mut().zip(&snap.egress) {
-                    dst.clear();
-                    dst.extend(q.iter().copied());
-                }
-                ni.peak_ingress = snap.peak_ingress;
-                ni.peak_egress = snap.peak_egress;
-            }
-            (have, _) => {
-                return Err(format!(
-                    "NI limits mismatch: checkpoint {} NI state, this network {}",
-                    if st.ni.is_some() { "has" } else { "lacks" },
-                    if have.is_some() { "has limits installed" } else { "is unbounded" }
-                ));
-            }
-        }
-        match (self.injector.as_deref_mut(), st.injector.as_ref()) {
-            (None, None) => {}
-            (Some(inj), Some(snap)) => inj.restore_state(snap),
-            (have, _) => {
-                return Err(format!(
-                    "fault-plan mismatch: checkpoint {} injector state, this network {}",
-                    if st.injector.is_some() { "has" } else { "lacks" },
-                    if have.is_some() { "has an active plan" } else { "has none" }
-                ));
-            }
-        }
-        self.send_free.copy_from_slice(&st.send_free);
-        self.msgs = st.msgs;
-        self.bytes_total = st.bytes_total;
-        Ok(())
     }
 
     /// Total messages injected so far.

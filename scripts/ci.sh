@@ -12,6 +12,8 @@
 #             bounded configs (`cargo test -p lrc-check`); the checker's
 #             exhaustive sweep stays opt-in via
 #             `cargo test -p lrc-check --release -- --ignored`
+#   bench   — build and test the benchmark package (perfbench/, its own
+#             workspace)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +38,13 @@ done
 
 echo "==> tier 2: workspace tests"
 cargo test --workspace -q
+
+echo "==> benchmark package: build + test perfbench/"
+# perfbench/ is its own Cargo workspace (BENCHMARK.json runs it), so the
+# --workspace stages above never compile it: a change to a workspace
+# crate's public API could otherwise break the benchmark unseen.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> bench smoke: lrc-bench compare at tiny scale"
 # Exercises the whole measure/compare path in seconds. The committed
