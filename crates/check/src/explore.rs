@@ -25,27 +25,70 @@ use std::collections::HashSet;
 /// Machine-construction options shared by exploration, minimization
 /// replays, and report rendering. A counterexample only reproduces on a
 /// machine built with the same options it was found under.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildOpts {
-    /// Arm the happens-before race detector.
+    /// Arm the happens-before race detector. Detector state is part of
+    /// [`Machine::fingerprint`], so exploration never prunes a racy path
+    /// into a clean one — at the cost of a larger state space (vector
+    /// clocks depend on lock-grant order, so converging protocol states may
+    /// carry diverging clocks).
     pub races: bool,
     /// Crash-timing choice point: kill node `.0` after exactly `.1`
     /// handled events, with instantaneous failure detection (see
     /// [`lrc_core::CrashPlan::kill_nth`]). Makes crash placement part of
     /// the explored schedule, so counterexamples pin the exact
-    /// crash-vs-protocol interleaving.
+    /// crash-vs-protocol interleaving. The crash rides [`BuildOpts::plan`],
+    /// or a plan without link faults when there is none.
     pub crash_nth: Option<(usize, u64)>,
+    /// BUSY-NACK choice point: the `n`-th busy-directory encounter answers
+    /// with a retriable NACK instead of parking (see
+    /// [`Machine::with_nack_nth`]), so exploration covers every
+    /// interleaving of the NACK reply and its backoff retry. Only the
+    /// eager protocols park at a busy home; under the lazy protocols this
+    /// changes nothing.
+    pub nack_nth: Option<u64>,
+    /// A fault-injection plan on the interconnect, so the checker drives
+    /// the protocol *and* the link-layer recovery machinery together.
+    /// Deterministic plans ([`FaultPlan::drop_nth`]) are the natural fit:
+    /// exactly one chosen message is lost, and stepping proves the retry
+    /// layer recovers it — or yields the schedule on which it does not.
+    pub plan: Option<FaultPlan>,
 }
 
 impl BuildOpts {
-    /// Options with only the race detector toggled.
-    pub fn raced(races: bool) -> Self {
-        BuildOpts { races, ..BuildOpts::default() }
+    /// A fresh machine for `scenario` with value tracking and every option
+    /// armed, not yet prepared. The watchdog stays off: the checker bounds
+    /// work by states, not cycles.
+    pub(crate) fn machine(&self, scenario: &Scenario, protocol: Protocol, fault: Fault) -> Machine {
+        let mut m =
+            Machine::new(scenario.config(), protocol).with_fault(fault).with_value_tracking();
+        if self.races {
+            m = m.with_race_detection();
+        }
+        if let Some(n) = self.nack_nth {
+            m = m.with_nack_nth(n);
+        }
+        let mut plan = self.plan.clone();
+        if let Some((node, n)) = self.crash_nth {
+            assert!(node < scenario.procs, "crash victim out of range");
+            let base = plan.unwrap_or_else(|| FaultPlan::off(0));
+            plan = Some(base.with_crash(CrashPlan::kill_nth(node, n)));
+        }
+        if let Some(plan) = plan {
+            m = m.with_fault_plan(plan);
+        }
+        m
     }
 }
 
+/// Step budget for replaying one schedule (minimization, rendering, the
+/// CLI's `--replay`). Bounded configurations drain in well under a
+/// thousand events; the slack covers fault-injected runs that spin on
+/// retries before deadlocking.
+pub const REPLAY_STEPS: usize = 50_000;
+
 /// Exploration bounds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Limits {
     /// Stop after visiting this many states (0 = unbounded / exhaustive).
     pub max_states: usize,
@@ -138,7 +181,7 @@ impl std::fmt::Display for Failure {
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Choice indices from the initial state (replay with
-    /// [`replay_schedule`]; choices past the end default to 0).
+    /// [`replay_schedule_opts`]; choices past the end default to 0).
     pub schedule: Vec<usize>,
     /// The violated property.
     pub failure: Failure,
@@ -160,86 +203,15 @@ pub struct CheckReport {
     pub counterexample: Option<Counterexample>,
 }
 
-/// Build the machine for one checking run: value tracking on, watchdog off
-/// (the checker bounds work by states, not cycles).
-pub fn build_machine(scenario: &Scenario, protocol: Protocol, fault: Fault) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_value_tracking();
-    m.prepare(Box::new(scenario.script()));
-    m
-}
-
-/// Like [`build_machine`], with the happens-before race detector armed.
-/// Detector state is part of [`Machine::fingerprint`], so exploration
-/// never prunes a racy path into a clean one — at the cost of a larger
-/// state space (vector clocks depend on lock-grant order, so converging
-/// protocol states may carry diverging clocks).
-pub fn build_machine_raced(scenario: &Scenario, protocol: Protocol, fault: Fault) -> Machine {
-    build_machine_opts(scenario, protocol, fault, BuildOpts::raced(true))
-}
-
-/// [`build_machine`] honoring every [`BuildOpts`] knob. A `crash_nth`
-/// option installs a crash-only fault plan (no link faults): the victim
-/// dies after exactly that many handled events, every survivor detects it
-/// instantly, and recovery runs inside the explored interleaving.
+/// Build and prepare the machine for one checking run of `scenario`
+/// under `opts`.
 pub fn build_machine_opts(
     scenario: &Scenario,
     protocol: Protocol,
     fault: Fault,
     opts: BuildOpts,
 ) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_value_tracking();
-    if opts.races {
-        m = m.with_race_detection();
-    }
-    if let Some((node, n)) = opts.crash_nth {
-        assert!(node < scenario.procs, "crash victim out of range");
-        m = m.with_fault_plan(FaultPlan::off(0).with_crash(CrashPlan::kill_nth(node, n)));
-    }
-    m.prepare(Box::new(scenario.script()));
-    m
-}
-
-/// Like [`build_machine`], but with a fault-injection `plan` installed on
-/// the interconnect, so the checker drives the protocol *and* the
-/// link-layer recovery machinery together. Deterministic plans
-/// ([`FaultPlan::drop_nth`]) are the natural fit: exactly one chosen
-/// message is lost, and stepping proves the retry layer recovers it — or
-/// yields the schedule on which it does not.
-pub fn build_machine_with_plan(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    plan: FaultPlan,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_fault_plan(plan)
-        .with_value_tracking();
-    m.prepare(Box::new(scenario.script()));
-    m
-}
-
-/// Like [`build_machine`], but with the deterministic BUSY-NACK choice
-/// point armed: the `nth` busy-directory encounter answers with a
-/// retriable NACK instead of parking (see
-/// [`lrc_core::Machine::with_nack_nth`]), and exploration then covers
-/// every interleaving of the NACK reply and its backoff retry against the
-/// rest of the protocol. Only the eager protocols park at a busy home, so
-/// under the lazy protocols this is equivalent to [`build_machine`].
-pub fn build_machine_nacked(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    nth: u64,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_nack_nth(nth)
-        .with_value_tracking();
+    let mut m = opts.machine(scenario, protocol, fault);
     m.prepare(Box::new(scenario.script()));
     m
 }
@@ -312,48 +284,10 @@ pub fn terminal_failure(m: &Machine, script: &Script) -> Option<Failure> {
 }
 
 /// Exhaustively explore `scenario` under `protocol` (with `fault`
-/// injected), depth-first with fingerprint pruning, stopping at the first
-/// counterexample or when `limits` cut the search off.
-pub fn check(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckReport {
-    check_root(build_machine(scenario, protocol, fault), scenario, limits)
-}
-
-/// [`check`] with the happens-before race detector armed: a detected race
-/// is a first-class counterexample ([`Failure::HbRace`]), and the DRF ⇒ SC
-/// value comparison only applies to paths the detector certifies
-/// race-free.
-pub fn check_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckReport {
-    check_root(build_machine_raced(scenario, protocol, fault), scenario, limits)
-}
-
-/// [`check`] with the `nth` BUSY-NACK choice point armed (see
-/// [`build_machine_nacked`]): explores the NACK/backoff-retry machinery
-/// against every interleaving of the rest of the protocol.
-pub fn check_nacked(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    nth: u64,
-    limits: Limits,
-) -> CheckReport {
-    check_root(build_machine_nacked(scenario, protocol, fault, nth), scenario, limits)
-}
-
-/// [`check`] honoring every [`BuildOpts`] knob (see
-/// [`build_machine_opts`]). With `crash_nth` set, the explored tree
-/// contains the crash, detection, and recovery; surviving processors must
-/// still drain to a clean (crash-degraded) quiescent state on every
-/// interleaving.
+/// injected and `opts` armed), depth-first with fingerprint pruning,
+/// stopping at the first counterexample or when `limits` cut the search
+/// off. With `crash_nth` set, surviving processors must still drain to a
+/// clean (crash-degraded) quiescent state on every interleaving.
 pub fn check_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -424,35 +358,12 @@ fn check_root(root: Machine, scenario: &Scenario, limits: Limits) -> CheckReport
     report
 }
 
-/// Deterministically replay a schedule from a fresh machine: choice `i`
+/// Deterministically replay a schedule from a fresh machine built with
+/// `opts` (the options the counterexample was found under): choice `i`
 /// fires event `schedule[i]` (clamped to the pending count); choices past
 /// the end fire event 0, so a truncated schedule continues with the
 /// natural event order until the machine drains. Returns the failure the
 /// path exhibits, if any, and the machine in its end state.
-pub fn replay_schedule(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    max_steps: usize,
-) -> (Option<Failure>, Machine) {
-    replay_on(build_machine(scenario, protocol, fault), scenario, schedule, max_steps)
-}
-
-/// [`replay_schedule`] on a race-detecting machine — required to reproduce
-/// and minimize [`Failure::HbRace`] counterexamples.
-pub fn replay_schedule_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    max_steps: usize,
-) -> (Option<Failure>, Machine) {
-    replay_on(build_machine_raced(scenario, protocol, fault), scenario, schedule, max_steps)
-}
-
-/// [`replay_schedule`] on a machine built with the given [`BuildOpts`] —
-/// required to reproduce counterexamples found under those options.
 pub fn replay_schedule_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -464,7 +375,8 @@ pub fn replay_schedule_opts(
     replay_on(build_machine_opts(scenario, protocol, fault, opts), scenario, schedule, max_steps)
 }
 
-fn replay_on(
+/// [`replay_schedule_opts`] on an already prepared machine.
+pub(crate) fn replay_on(
     mut m: Machine,
     scenario: &Scenario,
     schedule: &[usize],

@@ -26,8 +26,8 @@
 //!   may hold unflushed writes to the same word.
 //!
 //! On a violation the failing schedule is shrunk by delta debugging
-//! ([`minimize::minimize`]) and rendered as a protocol message timeline
-//! ([`report::render`]). Replays are deterministic: the printed schedule
+//! ([`minimize::minimize_opts`]) and rendered as a protocol message timeline
+//! ([`report::render_opts`]). Replays are deterministic: the printed schedule
 //! reproduces the exact failing interleaving via `lrc-check --replay`.
 
 #![forbid(unsafe_code)]
@@ -44,27 +44,12 @@ use lrc_sim::Protocol;
 use minimize::FailureClass;
 use scenario::Scenario;
 
-/// Parse a CLI protocol name ("sc", "eager", "lazy", "lazy-ext").
-pub fn parse_protocol(s: &str) -> Result<Protocol, String> {
-    Protocol::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == s)
-        .ok_or_else(|| format!("unknown protocol {s:?} (sc, eager, lazy, lazy-ext)"))
-}
-
 /// Parse a CLI fault name ("none", "skip-invalidate", "skip-write-notice",
-/// "skip-lock-reclaim").
-pub fn parse_fault(s: &str) -> Result<Fault, String> {
-    match s {
-        "none" => Ok(Fault::None),
-        "skip-invalidate" => Ok(Fault::SkipInvalidate),
-        "skip-write-notice" => Ok(Fault::SkipWriteNotice),
-        "skip-lock-reclaim" => Ok(Fault::SkipLockReclaim),
-        _ => Err(format!(
-            "unknown fault {s:?} (none, skip-invalidate, skip-write-notice, skip-lock-reclaim)"
-        )),
-    }
+/// "skip-lock-reclaim"), the inverse of [`report::fault_name`].
+pub fn parse_fault(s: &str) -> Option<Fault> {
+    [Fault::None, Fault::SkipInvalidate, Fault::SkipWriteNotice, Fault::SkipLockReclaim]
+        .into_iter()
+        .find(|&f| report::fault_name(f) == s)
 }
 
 /// Outcome of one fully processed (scenario, protocol, fault) run: the
@@ -86,34 +71,10 @@ impl CheckOutcome {
     }
 }
 
-/// Explore one combination and, if it fails, minimize and render the
-/// counterexample.
-pub fn check_and_minimize(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, BuildOpts::default())
-}
-
-/// [`check_and_minimize`] with the happens-before race detector armed on
-/// every machine (exploration, minimization replays, and the rendering
-/// replay): a detected race is a first-class counterexample with a
-/// ddmin-minimized, replayable witness, and the DRF ⇒ SC value comparison
-/// only applies to paths the detector certifies race-free.
-pub fn check_and_minimize_raced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, BuildOpts::raced(true))
-}
-
-/// [`check_and_minimize`] under arbitrary [`BuildOpts`] — exploration,
-/// minimization replays, and the rendering replay all run with the same
-/// options, so crash-timing counterexamples shrink and reproduce exactly.
+/// Explore one combination under `opts` and, if it fails, minimize and
+/// render the counterexample. Exploration, minimization replays, and the
+/// rendering replay all run with the same options, so race, NACK and
+/// crash-timing counterexamples shrink and reproduce exactly.
 pub fn check_and_minimize_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -121,23 +82,19 @@ pub fn check_and_minimize_opts(
     limits: Limits,
     opts: BuildOpts,
 ) -> CheckOutcome {
-    process(scenario, protocol, fault, limits, opts)
-}
-
-fn process(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    limits: Limits,
-    opts: BuildOpts,
-) -> CheckOutcome {
-    let report = explore::check_opts(scenario, protocol, fault, opts, limits);
+    let report = explore::check_opts(scenario, protocol, fault, opts.clone(), limits);
     let (minimized, rendered) = match &report.counterexample {
         None => (None, None),
         Some(cex) => {
             let class = FailureClass::of(&cex.failure);
-            let (schedule, failure) =
-                minimize::minimize_opts(scenario, protocol, fault, &cex.schedule, class, opts);
+            let (schedule, failure) = minimize::minimize_opts(
+                scenario,
+                protocol,
+                fault,
+                &cex.schedule,
+                class,
+                opts.clone(),
+            );
             let min_cex = explore::Counterexample { schedule: schedule.clone(), failure };
             let rendered = report::render_opts(scenario, protocol, fault, &min_cex, opts);
             (Some(schedule), Some(rendered))

@@ -3,181 +3,101 @@
 
 #![forbid(unsafe_code)]
 
-use lrc_check::explore::Limits;
-use lrc_check::{parse_fault, parse_protocol, report, scenario};
+use lrc_check::explore::{replay_schedule_opts, BuildOpts, Counterexample, Limits, REPLAY_STEPS};
+use lrc_check::scenario::{self, Scenario};
+use lrc_check::{check_and_minimize_opts, parse_fault, report};
 use lrc_core::Fault;
+use lrc_sim::cli::{self, Args, CliError};
 use lrc_sim::Protocol;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-lrc-check — bounded model checker for the lazy-release-consistency protocols
-
-USAGE:
-    lrc-check [OPTIONS]
-
-OPTIONS:
-    --scenario NAME     scenario to check, or 'all' (default: all; see --list)
-    --protocol NAME     sc | eager | lazy | lazy-ext | all (default: all)
-    --fault NAME        none | skip-invalidate | skip-write-notice |
-                        skip-lock-reclaim (default: none)
-    --nack-nth N        answer the N-th busy-directory encounter with a
-                        BUSY-NACK instead of parking, and explore the retry
-                        interleavings (eager protocols; no-op under lazy)
-    --crash-nth N       crash-stop a node after exactly N handled events
-                        (instantaneous detection) and explore the recovery
-                        interleavings; counterexamples are minimized and
-                        replayable. Survivors must still drain cleanly.
-    --crash-node V      which node --crash-nth kills (default: 0)
-    --races             arm the happens-before race detector: a detected
-                        data race is a first-class counterexample with a
-                        minimized replayable witness, and the DRF => SC
-                        value checks apply only to race-free paths (see
-                        the deliberately racy 'racy' scenario)
-    --max-states N      stop after visiting N states (default: 200000)
-    --max-depth N       abandon paths longer than N choices (default: 4000)
-    --exhaustive        no state limit: explore until the space is exhausted
-    --replay SCHEDULE   replay one comma-separated schedule ('-' = natural
-                        order) instead of exploring; requires a single
-                        --scenario and --protocol
-    --list              list scenarios and exit
-    --help              this text
-
-Exit status: 0 if every checked combination passes, 1 on any counterexample,
-2 on usage errors.";
-
-struct Args {
-    scenario: String,
-    protocol: String,
+/// A checked command line: every value converted before any exploration.
+struct Config {
+    scenarios: Vec<Scenario>,
+    protocols: Vec<Protocol>,
     fault: Fault,
-    nack_nth: Option<u64>,
-    crash_nth: Option<u64>,
-    crash_node: usize,
-    races: bool,
+    opts: BuildOpts,
     limits: Limits,
     replay: Option<Vec<usize>>,
     list: bool,
 }
 
-impl Args {
-    fn build_opts(&self) -> lrc_check::explore::BuildOpts {
-        lrc_check::explore::BuildOpts {
-            races: self.races,
-            crash_nth: self.crash_nth.map(|n| (self.crash_node, n)),
-        }
+fn config(a: &Args) -> Result<Config, CliError> {
+    let scenarios = a
+        .get_with("--scenario", "a scenario name or 'all' (see --list)", |v| match v {
+            "all" => Some(scenario::all()),
+            _ => scenario::by_name(v).map(|s| vec![s]),
+        })?
+        .unwrap_or_else(scenario::all);
+    let protocols = a
+        .get_with("--protocol", "sc | eager | lazy | lazy-ext | all", |v| match v {
+            "all" => Some(Protocol::ALL.to_vec()),
+            _ => Protocol::parse(v).map(|p| vec![p]),
+        })?
+        .unwrap_or_else(|| Protocol::ALL.to_vec());
+    let fault = a
+        .get_with(
+            "--fault",
+            "none | skip-invalidate | skip-write-notice | skip-lock-reclaim",
+            parse_fault,
+        )?
+        .unwrap_or(Fault::None);
+    let crash_node: usize = a.get("--crash-node", "a node index")?.unwrap_or(0);
+    if let Some(s) = scenarios.iter().find(|s| crash_node >= s.procs) {
+        return Err(CliError::invalid(
+            "--crash-node",
+            crash_node.to_string(),
+            format!("a node of scenario {} (0..{})", s.name, s.procs),
+        ));
     }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scenario: "all".to_string(),
-        protocol: "all".to_string(),
-        fault: Fault::None,
-        nack_nth: None,
-        crash_nth: None,
-        crash_node: 0,
-        races: false,
-        limits: Limits::default(),
-        replay: None,
-        list: false,
+    let crash_nth = a.get::<u64>("--crash-nth", "an event count")?;
+    let opts = BuildOpts {
+        races: a.switch("--races"),
+        crash_nth: crash_nth.map(|n| (crash_node, n)),
+        nack_nth: a.get("--nack-nth", "an encounter count")?,
+        plan: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match a.as_str() {
-            "--scenario" => args.scenario = val("--scenario")?,
-            "--protocol" => args.protocol = val("--protocol")?,
-            "--fault" => args.fault = parse_fault(&val("--fault")?)?,
-            "--nack-nth" => {
-                args.nack_nth =
-                    Some(val("--nack-nth")?.parse().map_err(|e| format!("--nack-nth: {e}"))?)
-            }
-            "--crash-nth" => {
-                args.crash_nth =
-                    Some(val("--crash-nth")?.parse().map_err(|e| format!("--crash-nth: {e}"))?)
-            }
-            "--crash-node" => {
-                args.crash_node =
-                    val("--crash-node")?.parse().map_err(|e| format!("--crash-node: {e}"))?
-            }
-            "--max-states" => {
-                args.limits.max_states =
-                    val("--max-states")?.parse().map_err(|e| format!("--max-states: {e}"))?
-            }
-            "--max-depth" => {
-                args.limits.max_depth =
-                    val("--max-depth")?.parse().map_err(|e| format!("--max-depth: {e}"))?
-            }
-            "--races" => args.races = true,
-            "--exhaustive" => args.limits.max_states = 0,
-            "--replay" => args.replay = Some(report::parse_schedule(&val("--replay")?)?),
-            "--list" => args.list = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
-        }
+    let mut limits = Limits::default();
+    if let Some(n) = a.get("--max-states", "a state count")? {
+        limits.max_states = n;
     }
-    Ok(args)
-}
-
-fn protocols_for(sel: &str) -> Result<Vec<Protocol>, String> {
-    if sel == "all" {
-        Ok(Protocol::ALL.to_vec())
-    } else {
-        Ok(vec![parse_protocol(sel)?])
+    if a.switch("--exhaustive") {
+        limits.max_states = 0;
     }
-}
-
-fn scenarios_for(sel: &str) -> Result<Vec<scenario::Scenario>, String> {
-    if sel == "all" {
-        Ok(scenario::all())
-    } else {
-        scenario::by_name(sel)
-            .map(|s| vec![s])
-            .ok_or_else(|| format!("unknown scenario {sel:?} (try --list)"))
+    if let Some(n) = a.get("--max-depth", "a path length")? {
+        limits.max_depth = n;
     }
+    let replay =
+        a.get_with("--replay", "a comma-separated schedule or '-'", report::parse_schedule)?;
+    if replay.is_some() && (scenarios.len() != 1 || protocols.len() != 1) {
+        return Err(CliError::invalid(
+            "--replay",
+            a.value("--replay").unwrap_or_default(),
+            "a single --scenario and --protocol to replay under",
+        ));
+    }
+    Ok(Config { scenarios, protocols, fault, opts, limits, replay, list: a.switch("--list") })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("lrc-check: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let cfg = cli::CHECK.parse_or_exit(std::env::args().skip(1), config);
 
-    if args.list {
+    if cfg.list {
         for s in scenario::all() {
             println!("{:<16} {} procs, {} line(s) — {}", s.name, s.procs, s.lines, s.about);
         }
         return ExitCode::SUCCESS;
     }
 
-    let (scenarios, protocols) = match (scenarios_for(&args.scenario), protocols_for(&args.protocol))
-    {
-        (Ok(s), Ok(p)) => (s, p),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("lrc-check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(schedule) = args.replay.clone() {
-        if scenarios.len() != 1 || protocols.len() != 1 {
-            eprintln!("lrc-check: --replay needs a single --scenario and --protocol");
-            return ExitCode::from(2);
-        }
-        let (s, p) = (&scenarios[0], protocols[0]);
-        let opts = args.build_opts();
+    if let Some(schedule) = cfg.replay {
+        let (s, p) = (&cfg.scenarios[0], cfg.protocols[0]);
         let (failure, m) =
-            lrc_check::explore::replay_schedule_opts(s, p, args.fault, opts, &schedule, 50_000);
-        match failure {
+            replay_schedule_opts(s, p, cfg.fault, cfg.opts.clone(), &schedule, REPLAY_STEPS);
+        return match failure {
             Some(f) => {
-                let cex = lrc_check::explore::Counterexample { schedule, failure: f };
-                print!("{}", report::render_opts(s, p, args.fault, &cex, opts));
-                return ExitCode::FAILURE;
+                let cex = Counterexample { schedule, failure: f };
+                print!("{}", report::render_opts(s, p, cfg.fault, &cex, cfg.opts));
+                ExitCode::FAILURE
             }
             None => {
                 println!(
@@ -186,35 +106,16 @@ fn main() -> ExitCode {
                     p.name(),
                     m.num_pending()
                 );
-                return ExitCode::SUCCESS;
+                ExitCode::SUCCESS
             }
-        }
+        };
     }
 
     let mut failed = false;
-    for s in &scenarios {
-        for &p in &protocols {
-            // NACK runs skip schedule minimization (the minimizer replays
-            // without the choice point armed); the raw failure is printed.
-            let (report, rendered) = match args.nack_nth {
-                Some(nth) => {
-                    let r = lrc_check::explore::check_nacked(s, p, args.fault, nth, args.limits);
-                    let rendered =
-                        r.counterexample.as_ref().map(|cex| format!("  {}\n", cex.failure));
-                    (r, rendered)
-                }
-                None => {
-                    let outcome = lrc_check::check_and_minimize_opts(
-                        s,
-                        p,
-                        args.fault,
-                        args.limits,
-                        args.build_opts(),
-                    );
-                    (outcome.report, outcome.rendered)
-                }
-            };
-            let r = &report;
+    for s in &cfg.scenarios {
+        for &p in &cfg.protocols {
+            let outcome = check_and_minimize_opts(s, p, cfg.fault, cfg.limits, cfg.opts.clone());
+            let r = &outcome.report;
             let coverage = if r.complete { "exhaustive" } else { "bounded" };
             if r.counterexample.is_none() {
                 println!(
@@ -230,7 +131,7 @@ fn main() -> ExitCode {
                     r.states,
                     coverage
                 );
-                if let Some(rendered) = &rendered {
+                if let Some(rendered) = &outcome.rendered {
                     print!("{rendered}");
                 }
             }
@@ -240,5 +141,57 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(line: &str) -> Result<Config, CliError> {
+        config(&cli::CHECK.parse(line.split_whitespace().map(str::to_string))?.expect("no --help"))
+    }
+
+    fn summary(line: &str) -> (Vec<&'static str>, Vec<Protocol>, Fault, BuildOpts, Limits) {
+        let c = config_of(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        (c.scenarios.iter().map(|s| s.name).collect(), c.protocols, c.fault, c.opts, c.limits)
+    }
+
+    /// The command lines `scripts/ci.sh` runs keep the values the
+    /// hand-written parser gave them.
+    #[test]
+    fn ci_command_lines_keep_their_values() {
+        let bounded = Limits { max_states: 20_000, max_depth: 4_000 };
+        let races = BuildOpts { races: true, ..BuildOpts::default() };
+        let crash = BuildOpts { crash_nth: Some((1, 7)), ..BuildOpts::default() };
+        let lazy = vec![Protocol::Lrc];
+        assert_eq!(
+            summary("--races --scenario racy --protocol lazy --max-states 20000"),
+            (vec!["racy"], lazy.clone(), Fault::None, races.clone(), bounded)
+        );
+        assert_eq!(
+            summary("--races --scenario handoff --protocol lazy --max-states 20000"),
+            (vec!["handoff"], lazy.clone(), Fault::None, races, bounded)
+        );
+        let crash_line = "--scenario counter --protocol lazy --fault skip-lock-reclaim \
+                          --crash-nth 7 --crash-node 1";
+        assert_eq!(
+            summary(&format!("{crash_line} --max-states 20000")),
+            (vec!["counter"], lazy.clone(), Fault::SkipLockReclaim, crash.clone(), bounded)
+        );
+        let replay = config_of(&format!("{crash_line} --replay 0,2,1")).unwrap();
+        assert_eq!((replay.replay, replay.opts), (Some(vec![0, 2, 1]), crash.clone()));
+        let clean = "--scenario counter --protocol lazy --crash-nth 7 --crash-node 1";
+        assert_eq!(
+            summary(&format!("{clean} --max-states 20000")),
+            (vec!["counter"], lazy, Fault::None, crash, bounded)
+        );
+        let all = scenario::all().iter().map(|s| s.name).collect::<Vec<_>>();
+        let exhaustive = Limits { max_states: 0, ..Limits::default() };
+        assert_eq!(
+            summary("--exhaustive"),
+            (all, Protocol::ALL.to_vec(), Fault::None, BuildOpts::default(), exhaustive)
+        );
+        assert!(config_of("--list").unwrap().list);
     }
 }

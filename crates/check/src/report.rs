@@ -3,9 +3,9 @@
 //! timeline, followed by the violated property and everything needed to
 //! reproduce the run.
 
-use crate::explore::{BuildOpts, Counterexample, Failure};
+use crate::explore::{replay_on, BuildOpts, Counterexample, Failure, REPLAY_STEPS};
 use crate::scenario::Scenario;
-use lrc_core::{CrashPlan, Fault, FaultPlan, Machine, TraceFilter};
+use lrc_core::{Fault, TraceFilter};
 use lrc_sim::Protocol;
 use std::fmt::Write as _;
 
@@ -15,9 +15,6 @@ const TRACE_CAP: usize = 10_000;
 
 /// Flight-recorder depth per node for the last-events tail of a report.
 const FLIGHT_CAP: usize = 16;
-
-/// Step budget for the rendering replay (mirrors the minimizer's).
-const REPLAY_STEPS: usize = 50_000;
 
 /// CLI spelling of a fault, for the reproduction line.
 pub fn fault_name(fault: Fault) -> &'static str {
@@ -29,67 +26,10 @@ pub fn fault_name(fault: Fault) -> &'static str {
     }
 }
 
-/// Replay `schedule` (0-padded past its end) on a trace-enabled machine,
-/// stopping at the first safety violation or at quiescence. Returns the
-/// machine so the caller can read its trace and state.
-fn replay_traced(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    schedule: &[usize],
-    opts: BuildOpts,
-) -> Machine {
-    let mut m = Machine::new(scenario.config(), protocol)
-        .with_fault(fault)
-        .with_value_tracking()
-        .with_trace_filter(TraceFilter::all().sends_only(), TRACE_CAP)
-        .with_flight_recorder(FLIGHT_CAP);
-    if opts.races {
-        m = m.with_race_detection();
-    }
-    if let Some((node, n)) = opts.crash_nth {
-        m = m.with_fault_plan(FaultPlan::off(0).with_crash(CrashPlan::kill_nth(node, n)));
-    }
-    m.prepare(Box::new(scenario.script()));
-    let mut step = 0usize;
-    while m.num_pending() > 0 && step < REPLAY_STEPS {
-        let want = schedule.get(step).copied().unwrap_or(0);
-        let n = want.min(m.num_pending() - 1);
-        m.step_choice(n);
-        step += 1;
-        if !m.check_violations().is_empty() {
-            break;
-        }
-    }
-    m
-}
-
 /// Render a counterexample as a full report: reproduction header, failure
-/// description, and the protocol message timeline leading to it.
-pub fn render(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    cex: &Counterexample,
-) -> String {
-    render_opts(scenario, protocol, fault, cex, BuildOpts::default())
-}
-
-/// [`render`] with control over race detection in the replay machine
-/// ([`Failure::HbRace`] counterexamples need the detector armed to show
-/// the race in the replayed state).
-pub fn render_with(
-    scenario: &Scenario,
-    protocol: Protocol,
-    fault: Fault,
-    cex: &Counterexample,
-    races: bool,
-) -> String {
-    render_opts(scenario, protocol, fault, cex, BuildOpts::raced(races))
-}
-
-/// [`render`] replaying under the full [`BuildOpts`] the counterexample
-/// was found with; the reproduce line carries every armed option.
+/// description, and the protocol message timeline leading to it, replayed
+/// under the [`BuildOpts`] the counterexample was found with. The
+/// reproduce line carries every armed option.
 pub fn render_opts(
     scenario: &Scenario,
     protocol: Protocol,
@@ -106,23 +46,34 @@ pub fn render_opts(
         let _ = writeln!(out, "  crash choice point: node {node} dies after {n} handled events");
     }
     let _ = writeln!(out, "  schedule ({} forced choices): {:?}", cex.schedule.len(), cex.schedule);
-    let crash_args = match opts.crash_nth {
-        None => String::new(),
-        Some((node, n)) => format!(" --crash-nth {n} --crash-node {node}"),
-    };
+    let mut extra_args = String::new();
+    if opts.races {
+        extra_args.push_str(" --races");
+    }
+    if let Some(n) = opts.nack_nth {
+        extra_args.push_str(&format!(" --nack-nth {n}"));
+    }
+    if let Some((node, n)) = opts.crash_nth {
+        extra_args.push_str(&format!(" --crash-nth {n} --crash-node {node}"));
+    }
     let _ = writeln!(
         out,
-        "  reproduce: lrc-check --scenario {} --protocol {} --fault {}{}{} --replay {}",
+        "  reproduce: lrc-check --scenario {} --protocol {} --fault {}{extra_args} --replay {}",
         scenario.name,
         protocol.name(),
         fault_name(fault),
-        if opts.races { " --races" } else { "" },
-        crash_args,
         schedule_arg(&cex.schedule),
     );
     let _ = writeln!(out);
 
-    let m = replay_traced(scenario, protocol, fault, &cex.schedule, opts);
+    // Replay on a trace-enabled machine, stopping at the first safety
+    // violation or at quiescence.
+    let mut m = opts
+        .machine(scenario, protocol, fault)
+        .with_trace_filter(TraceFilter::all().sends_only(), TRACE_CAP)
+        .with_flight_recorder(FLIGHT_CAP);
+    m.prepare(Box::new(scenario.script()));
+    let (_, m) = replay_on(m, scenario, &cex.schedule, REPLAY_STEPS);
     let trace = m.trace_records();
     let _ = writeln!(out, "  message timeline ({} messages):", trace.len());
     for rec in &trace {
@@ -158,11 +109,9 @@ pub fn schedule_arg(schedule: &[usize]) -> String {
 }
 
 /// Parse the `--replay` flag back into a schedule.
-pub fn parse_schedule(s: &str) -> Result<Vec<usize>, String> {
+pub fn parse_schedule(s: &str) -> Option<Vec<usize>> {
     if s == "-" {
-        return Ok(Vec::new());
+        return Some(Vec::new());
     }
-    s.split(',')
-        .map(|p| p.trim().parse::<usize>().map_err(|e| format!("bad choice {p:?}: {e}")))
-        .collect()
+    s.split(',').map(|p| p.trim().parse().ok()).collect()
 }

@@ -7,9 +7,12 @@
 //! The full exhaustive sweep over every scenario is `#[ignore]`d — run it
 //! with `cargo test -p lrc-check -- --ignored`.
 
-use lrc_check::explore::{check, replay_schedule, Failure, Limits};
+use lrc_check::explore::{
+    build_machine_opts, check_opts, replay_schedule_opts, terminal_failure, BuildOpts, Failure,
+    Limits,
+};
 use lrc_check::minimize::FailureClass;
-use lrc_check::{check_and_minimize, scenario};
+use lrc_check::{check_and_minimize_opts, scenario};
 use lrc_core::Fault;
 use lrc_sim::Protocol;
 
@@ -17,6 +20,14 @@ const EXHAUSTIVE: Limits = Limits { max_states: 0, max_depth: 4_000 };
 
 fn bounded(max_states: usize) -> Limits {
     Limits { max_states, max_depth: 4_000 }
+}
+
+fn plain() -> BuildOpts {
+    BuildOpts::default()
+}
+
+fn raced() -> BuildOpts {
+    BuildOpts { races: true, ..BuildOpts::default() }
 }
 
 /// Exact `(states, terminals)` per labelled run, as the explorer reports
@@ -48,7 +59,7 @@ fn cheap_scenarios_pass_exhaustively_under_all_protocols() {
             } else {
                 EXHAUSTIVE
             };
-            let r = check(&s, p, Fault::None, limits);
+            let r = check_opts(&s, p, Fault::None, plain(), limits);
             assert!(
                 r.counterexample.is_none(),
                 "{name} under {} failed: {}",
@@ -79,7 +90,7 @@ fn remaining_scenarios_pass_bounded_under_all_protocols() {
     for name in ["two-locks", "conflict-evict"] {
         let s = scenario::by_name(name).unwrap();
         for p in Protocol::ALL {
-            let r = check(&s, p, Fault::None, bounded(15_000));
+            let r = check_opts(&s, p, Fault::None, plain(), bounded(15_000));
             assert!(
                 r.counterexample.is_none(),
                 "{name} under {} failed: {}",
@@ -96,7 +107,7 @@ fn remaining_scenarios_pass_bounded_under_all_protocols() {
 fn all_scenarios_pass_exhaustively_under_all_protocols() {
     for s in scenario::all() {
         for p in Protocol::ALL {
-            let r = check(&s, p, Fault::None, EXHAUSTIVE);
+            let r = check_opts(&s, p, Fault::None, plain(), EXHAUSTIVE);
             assert!(
                 r.counterexample.is_none(),
                 "{} under {} failed: {}",
@@ -112,7 +123,8 @@ fn all_scenarios_pass_exhaustively_under_all_protocols() {
 #[test]
 fn skip_invalidate_fault_yields_minimized_safety_counterexample() {
     let s = scenario::by_name("counter").unwrap();
-    let outcome = check_and_minimize(&s, Protocol::Erc, Fault::SkipInvalidate, EXHAUSTIVE);
+    let outcome =
+        check_and_minimize_opts(&s, Protocol::Erc, Fault::SkipInvalidate, EXHAUSTIVE, plain());
     assert!(!outcome.passed(), "injected stale-copy bug went undetected");
     let cex = outcome.report.counterexample.as_ref().unwrap();
     assert_eq!(FailureClass::of(&cex.failure), FailureClass::Safety, "{}", cex.failure);
@@ -125,7 +137,8 @@ fn skip_invalidate_fault_yields_minimized_safety_counterexample() {
         minimized.len()
     );
     // The minimized schedule must still reproduce a safety violation.
-    let (failure, _) = replay_schedule(&s, Protocol::Erc, Fault::SkipInvalidate, minimized, 50_000);
+    let (failure, _) =
+        replay_schedule_opts(&s, Protocol::Erc, Fault::SkipInvalidate, plain(), minimized, 50_000);
     assert!(matches!(failure, Some(Failure::Safety(_))), "{failure:?}");
 
     let rendered = outcome.rendered.as_ref().unwrap();
@@ -137,14 +150,15 @@ fn skip_invalidate_fault_yields_minimized_safety_counterexample() {
 #[test]
 fn skip_write_notice_fault_yields_minimized_liveness_counterexample() {
     let s = scenario::by_name("handoff").unwrap();
-    let outcome = check_and_minimize(&s, Protocol::Lrc, Fault::SkipWriteNotice, EXHAUSTIVE);
+    let outcome =
+        check_and_minimize_opts(&s, Protocol::Lrc, Fault::SkipWriteNotice, EXHAUSTIVE, plain());
     assert!(!outcome.passed(), "injected lost-write-notice bug went undetected");
     let cex = outcome.report.counterexample.as_ref().unwrap();
     assert_eq!(FailureClass::of(&cex.failure), FailureClass::Liveness, "{}", cex.failure);
 
     let minimized = outcome.minimized.as_ref().unwrap();
     let (failure, m) =
-        replay_schedule(&s, Protocol::Lrc, Fault::SkipWriteNotice, minimized, 50_000);
+        replay_schedule_opts(&s, Protocol::Lrc, Fault::SkipWriteNotice, plain(), minimized, 50_000);
     assert!(matches!(failure, Some(Failure::Liveness(_))), "{failure:?}");
     assert_eq!(m.num_pending(), 0, "liveness counterexample must drain the queue");
 
@@ -156,10 +170,12 @@ fn skip_write_notice_fault_yields_minimized_liveness_counterexample() {
 #[test]
 fn counterexample_schedules_replay_deterministically() {
     let s = scenario::by_name("handoff").unwrap();
-    let outcome = check_and_minimize(&s, Protocol::Lrc, Fault::SkipWriteNotice, EXHAUSTIVE);
+    let outcome =
+        check_and_minimize_opts(&s, Protocol::Lrc, Fault::SkipWriteNotice, EXHAUSTIVE, plain());
     let minimized = outcome.minimized.unwrap();
     let render = |sched: &[usize]| {
-        let (f, _) = replay_schedule(&s, Protocol::Lrc, Fault::SkipWriteNotice, sched, 50_000);
+        let (f, _) =
+            replay_schedule_opts(&s, Protocol::Lrc, Fault::SkipWriteNotice, plain(), sched, 50_000);
         format!("{}", f.unwrap())
     };
     assert_eq!(render(&minimized), render(&minimized), "replay is not deterministic");
@@ -171,7 +187,7 @@ fn clean_protocols_have_no_failure_on_natural_order() {
     // order; it must drain cleanly for every scenario and protocol.
     for s in scenario::all() {
         for p in Protocol::ALL {
-            let (failure, m) = replay_schedule(&s, p, Fault::None, &[], 50_000);
+            let (failure, m) = replay_schedule_opts(&s, p, Fault::None, plain(), &[], 50_000);
             assert!(failure.is_none(), "{} under {}: {}", s.name, p.name(), failure.unwrap());
             assert_eq!(m.num_pending(), 0, "{} under {} did not drain", s.name, p.name());
         }
@@ -184,12 +200,11 @@ fn raced_checking_keeps_drf_scenarios_clean() {
     // HbRace counterexamples, and the value checks (now gated on the
     // detector's race-freedom verdict) still run and pass. Detector state
     // widens the state space, so the bigger scenarios get bounds.
-    use lrc_check::explore::check_raced;
     let mut counts = Vec::new();
     for name in ["handoff", "barrier-phases"] {
         let s = scenario::by_name(name).unwrap();
         for p in Protocol::ALL {
-            let r = check_raced(&s, p, Fault::None, bounded(20_000));
+            let r = check_opts(&s, p, Fault::None, raced(), bounded(20_000));
             assert!(
                 r.counterexample.is_none(),
                 "{name} under {} failed with races armed: {}",
@@ -214,11 +229,9 @@ fn racy_scenario_yields_minimized_race_counterexample() {
     // The positive control: the deliberately racy scenario must be flagged
     // as a first-class violation with a ddmin-minimized witness whose
     // replay reproduces a failure of the same class.
-    use lrc_check::check_and_minimize_raced;
-    use lrc_check::explore::replay_schedule_raced;
     let s = scenario::racy();
     for p in [Protocol::Sc, Protocol::Lrc] {
-        let outcome = check_and_minimize_raced(&s, p, Fault::None, bounded(20_000));
+        let outcome = check_and_minimize_opts(&s, p, Fault::None, bounded(20_000), raced());
         assert!(!outcome.passed(), "racy scenario passed under {}", p.name());
         let cex = outcome.report.counterexample.as_ref().unwrap();
         assert_eq!(
@@ -230,7 +243,7 @@ fn racy_scenario_yields_minimized_race_counterexample() {
         );
 
         let minimized = outcome.minimized.as_ref().unwrap();
-        let (failure, m) = replay_schedule_raced(&s, p, Fault::None, minimized, 50_000);
+        let (failure, m) = replay_schedule_opts(&s, p, Fault::None, raced(), minimized, 50_000);
         assert!(
             matches!(failure, Some(Failure::HbRace(_))),
             "minimized witness does not replay under {}: {failure:?}",
@@ -253,10 +266,9 @@ fn race_verdict_gates_value_checks_on_the_racy_scenario() {
     // the failure must be the race itself, never a ValueMismatch or
     // WriteRace — racy programs have no SC reference execution, so the
     // DRF => SC comparison is skipped once the premise is void.
-    use lrc_check::explore::replay_schedule_raced;
     let s = scenario::racy();
     for p in Protocol::ALL {
-        let (failure, _) = replay_schedule_raced(&s, p, Fault::None, &[], 50_000);
+        let (failure, _) = replay_schedule_opts(&s, p, Fault::None, raced(), &[], 50_000);
         match failure {
             Some(Failure::HbRace(reports)) => {
                 assert!(!reports.is_empty(), "{}: race flagged without a report", p.name())
@@ -275,13 +287,13 @@ fn nack_choice_point_passes_on_every_scenario() {
     // home, so they get several trigger points; the lazy protocols (where
     // the point can never fire) get one run each proving the machinery is
     // inert for them.
-    use lrc_check::explore::check_nacked;
     let mut counts = Vec::new();
     for s in scenario::all() {
         for p in Protocol::ALL {
             let nths: &[u64] = if p.is_lazy() { &[0] } else { &[0, 1, 2] };
             for &nth in nths {
-                let r = check_nacked(&s, p, Fault::None, nth, bounded(12_000));
+                let opts = BuildOpts { nack_nth: Some(nth), ..plain() };
+                let r = check_opts(&s, p, Fault::None, opts, bounded(12_000));
                 assert!(
                     r.counterexample.is_none(),
                     "{} under {} with nack_nth={nth} failed: {}",
@@ -330,12 +342,12 @@ fn nacked_exploration_reaches_clean_terminals_on_natural_order() {
     // The natural event order with the very first busy encounter NACKed:
     // the run must drain clean and the final memory must still match the
     // reference SC execution (the NACK changes timing, never values).
-    use lrc_check::explore::{build_machine_nacked, terminal_failure};
     let mut nacks_fired = 0u64;
     for s in scenario::all() {
         for p in [Protocol::Sc, Protocol::Erc] {
             let script = s.script();
-            let mut m = build_machine_nacked(&s, p, Fault::None, 0);
+            let opts = BuildOpts { nack_nth: Some(0), ..plain() };
+            let mut m = build_machine_opts(&s, p, Fault::None, opts);
             let mut steps = 0usize;
             while m.num_pending() > 0 && steps < 100_000 {
                 m.step_choice(0);
@@ -357,7 +369,6 @@ fn dropped_messages_recover_under_every_protocol() {
     // machinery must recover the loss on every protocol — the terminal
     // state drains clean and final memory still matches the reference SC
     // execution.
-    use lrc_check::explore::{build_machine_with_plan, terminal_failure};
     use lrc_core::{FaultPlan, MsgClass};
     let s = scenario::by_name("handoff").unwrap();
     let script = s.script();
@@ -366,7 +377,8 @@ fn dropped_messages_recover_under_every_protocol() {
         for class in [MsgClass::Request, MsgClass::Response, MsgClass::Notice, MsgClass::Sync] {
             for n in 0..4u64 {
                 let plan = FaultPlan::drop_nth(class, n);
-                let mut m = build_machine_with_plan(&s, p, Fault::None, plan);
+                let opts = BuildOpts { plan: Some(plan), ..plain() };
+                let mut m = build_machine_opts(&s, p, Fault::None, opts);
                 let mut steps = 0usize;
                 while m.num_pending() > 0 && steps < 100_000 {
                     m.step_choice(0);
@@ -387,8 +399,9 @@ fn dropped_messages_recover_under_every_protocol() {
         // state (sequence numbers, retransmit buffer, dedupe set) takes
         // part in fingerprint pruning.
         let plan = FaultPlan::drop_nth(MsgClass::Response, 1);
+        let opts = BuildOpts { plan: Some(plan), ..plain() };
         let (distinct, terminals) =
-            explore_counts(build_machine_with_plan(&s, p, Fault::None, plan), 2_000);
+            explore_counts(build_machine_opts(&s, p, Fault::None, opts), 2_000);
         counts.push((p.name().to_string(), distinct, terminals));
     }
     assert_counts("dropped messages", &counts, DROPPED_COUNTS);
@@ -399,7 +412,7 @@ const DROPPED_COUNTS: Counts = &[
 ];
 
 /// Depth-first exploration with fingerprint pruning, the same walk as
-/// `lrc_check::explore::check`, for machines built outside it. Stops after
+/// `lrc_check::explore::check_opts`, for machines built outside it. Stops after
 /// `max_states` expanded states and returns `(distinct states generated,
 /// terminals)`: the first counts every fingerprint pruning kept apart.
 fn explore_counts(root: lrc_core::Machine, max_states: usize) -> (usize, usize) {
@@ -430,12 +443,12 @@ fn explore_counts(root: lrc_core::Machine, max_states: usize) -> (usize, usize) 
 fn fault_recovery_stepping_is_deterministic() {
     // Same plan, same schedule: the recovered machine reaches the same
     // logical fingerprint both times (retry timers and all).
-    use lrc_check::explore::build_machine_with_plan;
     use lrc_core::{FaultPlan, MsgClass};
     let s = scenario::by_name("handoff").unwrap();
     let run = || {
         let plan = FaultPlan::drop_nth(MsgClass::Response, 1);
-        let mut m = build_machine_with_plan(&s, Protocol::LrcExt, Fault::None, plan);
+        let opts = BuildOpts { plan: Some(plan), ..plain() };
+        let mut m = build_machine_opts(&s, Protocol::LrcExt, Fault::None, opts);
         let mut steps = 0usize;
         while m.num_pending() > 0 && steps < 100_000 {
             m.step_choice(0);

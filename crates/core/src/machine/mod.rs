@@ -46,8 +46,9 @@ use lrc_json::{
 };
 use lrc_mesh::{FaultPlan, Network};
 use lrc_sim::{
-    Addr, Cycle, EventQueue, LatencyStats, LineAddr, LineMap, MachineConfig, MachineStats, NodeId,
-    ProcId, Protocol, StallDiagnosis, StallKind, StallReason, StalledProc, Workload,
+    Addr, ConfigError, Cycle, EventQueue, LatencyStats, LineAddr, LineMap, MachineConfig,
+    MachineStats, NodeId, ProcId, Protocol, StallDiagnosis, StallKind, StallReason, StalledProc,
+    Workload,
 };
 use lrc_trace::{
     FlightRecorder, ResourceEv, RingSink, TimeSeries, TraceFilter, TraceRecord, TraceSink,
@@ -431,20 +432,33 @@ impl Row for ForwardEp {
 }
 
 impl Machine {
+    /// Whether a machine can be built for `cfg`: the configuration must
+    /// pass [`MachineConfig::validate`] and name no more processors than a
+    /// directory sharer set can hold ([`NodeSet::CAPACITY`], 256). The one
+    /// machine-size check: [`Machine::new`], snapshot restore and the CLIs
+    /// all ask it.
+    ///
+    /// [`NodeSet::CAPACITY`]: crate::directory::NodeSet::CAPACITY
+    pub fn check_config(cfg: &MachineConfig) -> Result<(), ConfigError> {
+        cfg.validate()?;
+        let cap = crate::directory::NodeSet::CAPACITY;
+        if cfg.num_procs > cap {
+            return Err(ConfigError {
+                field: "num_procs",
+                why: format!("directory sharer sets hold at most {cap} processors"),
+            });
+        }
+        Ok(())
+    }
+
     /// Build a machine for `cfg` running `protocol`.
     ///
     /// # Panics
-    /// If the configuration is invalid or has more processors than a
-    /// directory sharer set can name ([`NodeSet::CAPACITY`], 256).
-    ///
-    /// [`NodeSet::CAPACITY`]: crate::directory::NodeSet::CAPACITY
+    /// If [`Machine::check_config`] rejects `cfg`.
     pub fn new(cfg: MachineConfig, protocol: Protocol) -> Self {
-        cfg.validate().expect("invalid machine configuration");
-        assert!(
-            cfg.num_procs <= crate::directory::NodeSet::CAPACITY,
-            "directory sharer sets support ≤ {} processors",
-            crate::directory::NodeSet::CAPACITY
-        );
+        if let Err(e) = Machine::check_config(&cfg) {
+            panic!("invalid machine configuration: {e}");
+        }
         let nodes = (0..cfg.num_procs).map(|_| Node::new(&cfg)).collect();
         let net = Network::new(&cfg);
         let stats = MachineStats::new(cfg.num_procs);

@@ -33,7 +33,6 @@
 
 use super::obs::DEFAULT_FLIGHT_CAP;
 use super::{Event, Fault, Machine};
-use crate::directory::NodeSet;
 use crate::msg::Msg;
 use lrc_json::{member, Cx, Dec, Entries, FromJson, Opt, Overlay, Plain, ToJson, Value, Via};
 use lrc_mesh::FaultPlan;
@@ -327,11 +326,8 @@ impl MachineSnapshot {
     pub fn restore(&self, workload: Box<dyn Workload>) -> R<Machine> {
         let protocol = self.protocol().ok_or_else(|| corrupt("bad protocol"))?;
         let cfg = self.config().ok_or_else(|| corrupt("bad machine config"))?;
-        cfg.validate().map_err(|e| corrupt(format!("bad machine config: {e}")))?;
+        Machine::check_config(&cfg).map_err(|e| corrupt(format!("bad machine config: {e}")))?;
         let np = cfg.num_procs;
-        if np > NodeSet::CAPACITY {
-            return Err(corrupt(format!("{np} processors exceed the directory's node sets")));
-        }
         let wname = self.workload_name();
         if workload.name() != wname {
             return Err(unsupported(format!(

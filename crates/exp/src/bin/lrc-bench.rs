@@ -1,23 +1,12 @@
-//! `lrc-bench` — the simulator's benchmark trajectory harness.
+//! `lrc-bench` — the simulator's kernel-throughput harness.
 //!
 //! Runs the fixed (protocol × workload) grid and records how fast the
 //! simulation *kernel* executes it (simulated cycles per wall-clock second
-//! spent inside the event loop, excluding workload construction), so kernel
-//! changes can be compared against a committed baseline:
-//!
-//! ```text
-//! lrc-bench run     [--scale small] [--procs 16] [--reps 3] [--threads 1,2,4,8]
-//!                   [--mesh256] [--out BENCH_sim.json]
-//! lrc-bench compare [--scale small] [--procs 16] [--reps 3] [--out FILE]
-//!                   [--baseline BENCH_sim.json] [--tolerance 0.10]
-//! ```
-//!
-//! `run` measures the grid and writes `BENCH_sim.json` (schema below).
-//! `compare` measures the grid the same way, then gates against a committed
-//! baseline: it exits non-zero if geomean throughput regressed by more than
-//! `--tolerance` (default 10%). The gate only engages when the baseline
-//! exists *and* was recorded at the same scale/procs — a tiny-scale CI smoke
-//! run against the small-scale committed baseline reports but does not gate.
+//! spent inside the event loop, excluding workload construction).
+//! `lrc-bench run` (flags: `lrc_sim::cli::BENCH`, `--help`) writes the
+//! report (schema below) to `--out FILE`, or to stdout. Comparing two
+//! builds is `lrc-perfbench ab`'s job (interleaved A/B runs with
+//! confidence intervals), not this tool's.
 //!
 //! Schema (`"schema": "lrc-bench-v1"`): `commit`, `date`, `scale`, `procs`,
 //! `reps`, `combos` (per-combination `total_cycles`, `median_wall_ms`,
@@ -27,22 +16,27 @@
 //!
 //! `--threads` takes a comma-separated sweep (e.g. `1,2,4,8`): the grid is
 //! measured once per thread count on the sharded parallel engine, the
-//! top-level numbers (and the compare gate) always come from the lowest
-//! thread count, and a `thread_sweep` section records each count's geomean
-//! plus its speedup over threads=1. Only the lowest count runs the full
-//! `--reps` repetitions; the other sweep points run once each. Simulated `total_cycles` must be
-//! bit-identical across every thread count — the harness asserts it.
-//! `host_cpus` records the machine's available parallelism so a sweep run
-//! on an oversubscribed host can be read honestly. `--mesh256` appends a
-//! `mesh256` section: one mp3d/lazy run on a 256-node (16×16) mesh at
-//! `large` scale with the sweep's highest thread count.
+//! top-level numbers always come from the lowest thread count, and a
+//! `thread_sweep` section records each count's geomean plus its speedup
+//! over threads=1. Only the lowest count runs the full `--reps`
+//! repetitions; the other sweep points run once each. Simulated
+//! `total_cycles` must be bit-identical across every thread count — the
+//! harness asserts it. `host_cpus` records the machine's available
+//! parallelism so a sweep run on an oversubscribed host can be read
+//! honestly. `--mesh256` appends a `mesh256` section: one mp3d/lazy run on
+//! a 256-node (16×16) mesh at `large` scale with the sweep's highest
+//! thread count.
 
 #![forbid(unsafe_code)]
 
-use lrc_exp::{execute_sharded, RunSpec};
+use lrc_exp::manifest::git_commit;
+use lrc_exp::report::iso_utc;
+use lrc_exp::{execute_sharded, procs_flag, resolve_timestamp, HostFacts, RunSpec};
 use lrc_json::{json, ToJson, Value};
-use lrc_sim::Protocol;
+use lrc_sim::cli::{self, Args, CliError};
+use lrc_sim::{MachineConfig, Protocol};
 use lrc_workloads::{Scale, WorkloadKind};
+use std::path::PathBuf;
 
 struct ComboResult {
     protocol: Protocol,
@@ -140,52 +134,12 @@ fn geomean(combos: &[ComboResult]) -> f64 {
     (log_sum / combos.len().max(1) as f64).exp()
 }
 
-/// Best-effort `git rev-parse --short HEAD`; "unknown" outside a checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Civil date (UTC) from the system clock, via days-from-epoch arithmetic
-/// (Howard Hinnant's algorithm) — the workspace has no date dependency.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// One measured thread count of the sweep: the grid's geomean at that
-/// count, and its speedup over the threads=1 grid.
-struct SweepPoint {
-    threads: usize,
-    geomean_cycles_per_sec: f64,
-    speedup_vs_threads1: f64,
-}
-
 fn report_json(
     scale: Scale,
     procs: usize,
     reps: usize,
     combos: &[ComboResult],
-    sweep: &[SweepPoint],
+    sweep: Vec<Value>,
     mesh256: Option<Value>,
 ) -> Value {
     let rows: Vec<Value> = combos
@@ -200,40 +154,31 @@ fn report_json(
             })
         })
         .collect();
-    let sweep_rows: Vec<Value> = sweep
-        .iter()
-        .map(|p| {
-            json!({
-                "threads": p.threads,
-                "geomean_cycles_per_sec": p.geomean_cycles_per_sec,
-                "speedup_vs_threads1": p.speedup_vs_threads1,
-            })
-        })
-        .collect();
     let params = json!({ "scale": scale.name(), "procs": procs, "reps": reps });
-    let machine = lrc_sim::MachineConfig::paper_default(procs).to_json();
+    let machine = MachineConfig::paper_default(procs).to_json();
+    let (commit, now) = (git_commit(), resolve_timestamp(None));
+    let host_cpus = HostFacts::capture().host_cpus;
     let mut report = json!({
         "schema": "lrc-bench-v1",
-        "commit": git_commit(),
-        "date": today_utc(),
+        "commit": commit.clone(),
+        "date": iso_utc(now).split(' ').next().unwrap_or_default(),
         "scale": scale.name(),
         "procs": procs,
         "reps": reps,
-        "host_cpus": host_cpus(),
-        // Provenance of this measurement: enough to decide whether a
-        // committed baseline is still comparable to HEAD (same machine
-        // configuration, which host, when the harness passed).
+        "host_cpus": host_cpus,
+        // Provenance of this measurement: which code, machine
+        // configuration and host, and when the harness passed.
         "provenance": json!({
-            "git_commit": git_commit(),
+            "git_commit": commit,
             "config_hash": lrc_exp::config_hash("bench", &params, &machine),
-            "host_cpus": host_cpus(),
-            "harness_passed_unix": lrc_exp::resolve_timestamp(None),
+            "host_cpus": host_cpus,
+            "harness_passed_unix": now,
         }),
         "combos": rows,
         "geomean_cycles_per_sec": geomean(combos),
     });
-    if !sweep_rows.is_empty() {
-        report.set("thread_sweep", sweep_rows);
+    if !sweep.is_empty() {
+        report.set("thread_sweep", sweep);
     }
     if let Some(m) = mesh256 {
         report.set("mesh256", m);
@@ -241,182 +186,81 @@ fn report_json(
     report
 }
 
-/// The host's available parallelism — recorded so a sweep measured on an
-/// oversubscribed machine (threads > cores) can be read honestly.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+/// A checked `lrc-bench` command line.
+#[derive(Debug, Clone, PartialEq)]
+struct Config {
+    scale: Scale,
+    procs: usize,
+    reps: usize,
+    /// Sorted, deduplicated, all positive; the first is the headline grid.
+    threads: Vec<usize>,
+    mesh256: bool,
+    out: Option<PathBuf>,
+    verbose: bool,
 }
 
-/// One-line provenance summary of a bench report (current or baseline).
-/// Pre-provenance baselines render their fields as `unknown`.
-fn provenance_line(report: &Value) -> String {
-    let p = &report["provenance"];
-    let s = |v: &Value| v.as_str().unwrap_or("unknown").to_string();
-    let short = |h: String| h.chars().take(12).collect::<String>();
-    format!(
-        "provenance: commit {} · config {} · host_cpus {} · harness passed {}",
-        s(&p["git_commit"]),
-        short(s(&p["config_hash"])),
-        p["host_cpus"].as_u64().map_or_else(|| "unknown".to_string(), |n| n.to_string()),
-        match p["harness_passed_unix"].as_u64() {
-            Some(ts) if ts > 0 => lrc_exp::report::iso_utc(ts),
-            _ => "unknown".to_string(),
+fn config(a: &Args) -> Result<Config, CliError> {
+    if let Some(w) = a.words().iter().find(|w| *w != "run") {
+        return Err(CliError::Unknown(w.clone()));
+    }
+    if a.words().is_empty() {
+        return Err(CliError::invalid("MODE", "", "run"));
+    }
+    let scale_names = "paper | large | medium | small | tiny";
+    let procs = procs_flag(a, 16)?.num_procs;
+    let reps = a.get("--reps", "a repetition count >= 1")?.unwrap_or(3);
+    if reps == 0 {
+        return Err(CliError::invalid("--reps", "0", "a repetition count >= 1"));
+    }
+    let list = "a comma-separated list of positive thread counts like 1,2,4,8";
+    let mut threads: Vec<usize> = a.list("--threads", list)?.unwrap_or(vec![1]);
+    if threads.contains(&0) {
+        return Err(CliError::invalid("--threads", a.value("--threads").unwrap_or_default(), list));
+    }
+    threads.sort_unstable();
+    threads.dedup();
+    let out = a.value("--out").map(PathBuf::from);
+    if let Some(path) = &out {
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if path.is_dir() || parent.is_some_and(|p| !p.is_dir()) {
+            let v = path.display().to_string();
+            return Err(CliError::invalid("--out", v, "a file path in an existing directory"));
         }
-    )
-}
-
-/// Outcome of gating a fresh measurement against a baseline file.
-enum Gate {
-    /// Baseline missing/unreadable, or recorded under different settings.
-    Skipped(String),
-    /// Gate ran: (baseline geomean, current geomean, regression fraction).
-    Ran(f64, f64, f64),
-}
-
-fn gate_against_baseline(path: &str, scale: Scale, procs: usize, current: f64) -> Gate {
-    let contents = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => return Gate::Skipped(format!("no baseline at {path} ({e})")),
-    };
-    let base = match lrc_json::parse(&contents) {
-        Ok(v) => v,
-        Err(e) => return Gate::Skipped(format!("baseline {path} is not valid JSON ({e})")),
-    };
-    if base["schema"].as_str() != Some("lrc-bench-v1") {
-        return Gate::Skipped(format!("baseline {path} has unknown schema"));
     }
-    let (bscale, bprocs) = (base["scale"].as_str().unwrap_or(""), base["procs"].as_u64());
-    if bscale != scale.name() || bprocs != Some(procs as u64) {
-        return Gate::Skipped(format!(
-            "baseline was recorded at scale={bscale} procs={} — current run is scale={} procs={procs}, gate not applicable",
-            bprocs.map_or_else(|| "?".into(), |p| p.to_string()),
-            scale.name()
-        ));
-    }
-    let Some(bgeo) = base["geomean_cycles_per_sec"].as_f64() else {
-        return Gate::Skipped(format!("baseline {path} lacks geomean_cycles_per_sec"));
-    };
-    Gate::Ran(bgeo, current, 1.0 - current / bgeo)
-}
-
-/// Print a CLI usage error and exit 2 (the usage-error convention).
-fn die(msg: &str) -> ! {
-    eprintln!("lrc-bench: {msg}");
-    std::process::exit(2)
-}
-
-/// The value following a flag, or a usage error naming the flag.
-fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => v,
-        None => die(&format!("{flag} requires a value")),
-    }
-}
-
-/// Parse a flag's value, or a usage error naming the flag and the input.
-fn parse_flag<T: std::str::FromStr>(value: &str, flag: &str, expects: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| die(&format!("{flag}: invalid value '{value}' (expected {expects})")))
+    Ok(Config {
+        scale: a.get_with("--scale", scale_names, Scale::parse)?.unwrap_or(Scale::Small),
+        procs,
+        reps,
+        threads,
+        mesh256: a.switch("--mesh256"),
+        out,
+        verbose: !a.switch("--quiet"),
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode: Option<&str> = None;
-    let mut scale = Scale::Small;
-    let mut procs = 16usize;
-    let mut reps = 3usize;
-    let mut out: Option<String> = None;
-    let mut baseline = "BENCH_sim.json".to_string();
-    let mut tolerance = 0.10f64;
-    let mut verbose = true;
-    let mut threads: Vec<usize> = vec![1];
-    let mut mesh256 = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "run" => mode = Some("run"),
-            "compare" => mode = Some("compare"),
-            "--scale" => {
-                let v = flag_value(&args, &mut i, "--scale");
-                scale = Scale::parse(v).unwrap_or_else(|| {
-                    die(&format!(
-                        "--scale: unknown scale '{v}' (expected paper|large|medium|small|tiny)"
-                    ))
-                });
-            }
-            "--procs" => {
-                let v = flag_value(&args, &mut i, "--procs");
-                procs = parse_flag(v, "--procs", "a processor count");
-                if procs == 0 {
-                    die("--procs must be positive");
-                }
-            }
-            "--reps" => {
-                let v = flag_value(&args, &mut i, "--reps");
-                reps = parse_flag(v, "--reps", "a repetition count");
-                if reps == 0 {
-                    die("--reps must be positive");
-                }
-            }
-            "--out" => out = Some(flag_value(&args, &mut i, "--out").to_string()),
-            "--baseline" => baseline = flag_value(&args, &mut i, "--baseline").to_string(),
-            "--tolerance" => {
-                let v = flag_value(&args, &mut i, "--tolerance");
-                tolerance = parse_flag(v, "--tolerance", "a fraction like 0.10");
-                if !(0.0..1.0).contains(&tolerance) {
-                    die("--tolerance must be in [0, 1)");
-                }
-            }
-            "--threads" => {
-                let v = flag_value(&args, &mut i, "--threads");
-                threads = v
-                    .split(',')
-                    .map(|t| parse_flag::<usize>(t, "--threads", "a comma-separated list like 1,2,4,8"))
-                    .collect();
-                if threads.is_empty() || threads.contains(&0) {
-                    die("--threads entries must be positive");
-                }
-                threads.sort_unstable();
-                threads.dedup();
-            }
-            "--mesh256" => mesh256 = true,
-            "--quiet" => verbose = false,
-            other => die(&format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-
-    let Some(mode) = mode else {
-        eprintln!(
-            "usage: lrc-bench <run|compare> [--scale paper|large|medium|small|tiny] [--procs N] \
-             [--reps N] [--threads LIST] [--mesh256] [--out FILE] [--baseline FILE] \
-             [--tolerance FRACTION] [--quiet]"
-        );
-        std::process::exit(2);
-    };
+    let Config { scale, procs, reps, threads, mesh256, out, verbose } =
+        cli::BENCH.parse_or_exit(std::env::args().skip(1), config);
 
     if verbose {
         eprintln!(
-            "lrc-bench {mode}: {}×{} grid @ scale={} procs={procs} reps={reps} threads={threads:?}",
+            "lrc-bench run: {}×{} grid @ scale={} procs={procs} reps={reps} threads={threads:?}",
             Protocol::ALL.len(),
             WorkloadKind::ALL.len(),
             scale.name()
         );
     }
     // Measure the grid once per requested thread count. The lowest count
-    // (normally 1) is the report's headline grid and the compare-gate
-    // subject; higher counts only contribute sweep points.
+    // (normally 1) is the report's headline grid; higher counts only
+    // contribute sweep points.
     let mut grids: Vec<(usize, Vec<ComboResult>)> = Vec::new();
     for (k, &t) in threads.iter().enumerate() {
         if verbose && threads.len() > 1 {
             eprintln!("-- threads={t}");
         }
         // Full repetitions only for the headline grid: the sweep points are
-        // informational (and cycle-checked), not gated, so one repetition
-        // per extra thread count keeps a 4-point sweep affordable.
+        // informational (and cycle-checked), so one repetition per extra
+        // thread count keeps a 4-point sweep affordable.
         let grid_reps = if k == 0 { reps } else { 1 };
         grids.push((t, measure_grid(scale, procs, grid_reps, t, verbose)));
     }
@@ -432,84 +276,79 @@ fn main() {
             );
         }
     }
+    // Each sweep point: the grid's geomean at that thread count, and its
+    // speedup over the headline grid.
     let base_geo = geomean(combos);
-    let sweep: Vec<SweepPoint> = if grids.len() > 1 {
-        grids
-            .iter()
-            .map(|(t, grid)| {
-                let g = geomean(grid);
-                SweepPoint {
-                    threads: *t,
-                    geomean_cycles_per_sec: g,
-                    speedup_vs_threads1: g / base_geo.max(1.0),
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if verbose {
-        for p in &sweep {
+    let mut sweep = Vec::new();
+    for (t, grid) in grids.iter().filter(|_| grids.len() > 1) {
+        let g = geomean(grid);
+        let speedup = g / base_geo.max(1.0);
+        if verbose {
             eprintln!(
-                "  threads={:<2} geomean {:.1} Mcyc/s ({:.2}x vs threads={})",
-                p.threads,
-                p.geomean_cycles_per_sec / 1e6,
-                p.speedup_vs_threads1,
+                "  threads={t:<2} geomean {:.1} Mcyc/s ({speedup:.2}x vs threads={})",
+                g / 1e6,
                 threads[0]
             );
         }
+        sweep.push(json!({
+            "threads": *t,
+            "geomean_cycles_per_sec": g,
+            "speedup_vs_threads1": speedup,
+        }));
     }
     let mesh = if mesh256 { Some(measure_mesh256(threads.iter().copied().max().unwrap_or(1), verbose)) } else { None };
-    let geo = base_geo;
-    let report = report_json(scale, procs, reps, combos, &sweep, mesh);
+    let report = report_json(scale, procs, reps, combos, sweep, mesh);
     if verbose {
-        eprintln!("  geomean {:.1} Mcyc/s over {} combinations", geo / 1e6, combos.len());
+        eprintln!("  geomean {:.1} Mcyc/s over {} combinations", base_geo / 1e6, combos.len());
     }
 
-    match mode {
-        "run" => {
-            let path = out.unwrap_or_else(|| "BENCH_sim.json".to_string());
-            std::fs::write(&path, report.pretty())
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
+    match out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, report.pretty()) {
+                eprintln!("lrc-bench: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+            eprintln!("wrote {}", path.display());
         }
-        "compare" => {
-            if let Some(path) = &out {
-                std::fs::write(path, report.pretty())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                eprintln!("wrote {path}");
-            } else {
-                println!("{}", report.pretty());
-            }
-            eprintln!("current  {}", provenance_line(&report));
-            if let Ok(contents) = std::fs::read_to_string(&baseline) {
-                if let Ok(base) = lrc_json::parse(&contents) {
-                    eprintln!("baseline {}", provenance_line(&base));
-                }
-            }
-            match gate_against_baseline(&baseline, scale, procs, geo) {
-                Gate::Skipped(why) => {
-                    eprintln!("gate skipped: {why}");
-                }
-                Gate::Ran(base, cur, regression) => {
-                    eprintln!(
-                        "baseline geomean {:.1} Mcyc/s, current {:.1} Mcyc/s ({:+.1}%)",
-                        base / 1e6,
-                        cur / 1e6,
-                        -regression * 100.0
-                    );
-                    if regression > tolerance {
-                        eprintln!(
-                            "FAIL: throughput regressed {:.1}% (> {:.0}% tolerance) vs {baseline}",
-                            regression * 100.0,
-                            tolerance * 100.0
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!("gate passed (tolerance {:.0}%)", tolerance * 100.0);
-                }
-            }
-        }
-        _ => unreachable!(),
+        None => println!("{}", report.pretty()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(line: &str) -> Result<Config, CliError> {
+        config(&cli::BENCH.parse(line.split_whitespace().map(str::to_string))?.expect("no --help"))
+    }
+
+    /// The command lines `scripts/ci.sh` and EXPERIMENTS.md run keep the
+    /// values the hand-written parser gave them.
+    #[test]
+    fn documented_command_lines_keep_their_values() {
+        let out = std::env::temp_dir().join("parallel_smoke.json");
+        let smoke = Config {
+            scale: Scale::Tiny,
+            procs: 16,
+            reps: 1,
+            threads: vec![1, 2],
+            mesh256: false,
+            out: Some(out.clone()),
+            verbose: false,
+        };
+        let line = "run --scale tiny --procs 16 --reps 1 --threads 1,2 --quiet --out";
+        assert_eq!(config_of(&format!("{line} {}", out.display())), Ok(smoke.clone()));
+        let line = "run --scale small --procs 16 --reps 3 --threads 1,2,4,8 --mesh256";
+        let sweep = Config {
+            scale: Scale::Small,
+            reps: 3,
+            threads: vec![1, 2, 4, 8],
+            mesh256: true,
+            out: None,
+            verbose: true,
+            ..smoke.clone()
+        };
+        assert_eq!(config_of(line), Ok(sweep));
+        assert_eq!(config_of("run --threads 4,1,4").map(|c| c.threads), Ok(vec![1, 4]));
     }
 }

@@ -22,14 +22,8 @@
 //! disabled and demonstrates that the failure mode is a structured
 //! diagnosis naming the abandoned deliveries, not silent corruption.
 //!
-//! ```text
-//! lrc-soak [--smoke] [--capacity-sweep] [--races] [--availability]
-//!          [--procs N] [--seeds N] [--phases N] [--rates R1,R2,...]
-//!          [--watchdog CYCLES] [--checkpoint-dir DIR] [--resume DIR]
-//!          [--replay FILE] [--quiet]
-//! ```
-//!
-//! `--smoke` is the CI profile: tiny programs, rates {0, 1e-3}, one seed,
+//! The flags are `lrc_sim::cli::SOAK` (`lrc-soak --help`). `--smoke` is
+//! the CI profile: tiny programs, rates {0, 1e-3}, one seed,
 //! all four protocols. The default profile sweeps rates {0, 1e-4, 1e-3}
 //! across three seeds. Exit status is non-zero on any verification failure
 //! or on a wedge at a recoverable rate.
@@ -72,7 +66,8 @@
 #![forbid(unsafe_code)]
 
 use lrc_core::{CrashPlan, FaultPlan, FaultRates, Machine, MachineSnapshot, MsgClass, StallDiagnosis};
-use lrc_json::Value;
+use lrc_json::{json, Value};
+use lrc_sim::cli::{self, Args, CliError};
 use lrc_sim::refint;
 use lrc_sim::{MachineConfig, MachineStats, Op, Protocol, ResourceLimits, Rng, Script};
 use std::fs;
@@ -90,7 +85,8 @@ const PRIVATE_BASE: u64 = 512;
 /// Generate a seeded, reproducible DRF program: barrier-separated phases of
 /// lock-protected shared-line critical sections interleaved with private
 /// accesses and computes.
-fn soak_script(seed: u64, procs: usize, phases: usize, csecs: usize, cfg: &MachineConfig) -> Script {
+fn soak_script(seed: u64, phases: usize, csecs: usize, cfg: &MachineConfig) -> Script {
+    let procs = cfg.num_procs;
     let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(0x50a4));
     let line = |l: u64, word: u64| l * cfg.line_size as u64 + word * cfg.word_size as u64;
     let words = (cfg.line_size / cfg.word_size) as u64;
@@ -187,80 +183,38 @@ enum CellOutcome {
     Wedged(Box<StallDiagnosis>, Box<Machine>),
 }
 
+/// One verified cell: run the seeded program on `cfg` under `plan`, verify
+/// its values against the reference SC execution, and rerun it for
+/// bit-identical statistics.
 fn run_cell(
+    c: &Config,
     cfg: &MachineConfig,
     proto: Protocol,
-    rate: f64,
+    plan: FaultPlan,
     seed: u64,
-    phases: usize,
-    csecs: usize,
-    watchdog: u64,
 ) -> CellOutcome {
-    let script = soak_script(seed, cfg.num_procs, phases, csecs, cfg);
-    let plan = FaultPlan::uniform(rate, seed);
-    let (first, m) =
-        match build(cfg, proto, plan.clone(), watchdog).try_run_wedge(Box::new(script.clone())) {
-            Ok(pair) => pair,
-            Err((diag, wedged)) => return CellOutcome::Wedged(diag, wedged),
-        };
-    if let Err(e) = verify_values(&m, &script) {
-        return CellOutcome::Failed(e);
-    }
-    // Reproduce: same (seed, plan) must yield bit-identical statistics.
-    match build(cfg, proto, plan, watchdog).try_run(Box::new(script)) {
-        Ok(second) if second.stats == first.stats => CellOutcome::Ok(Box::new(first.stats)),
-        Ok(_) => CellOutcome::Failed("rerun with the same (seed, plan) diverged".into()),
-        Err(diag) => CellOutcome::Failed(format!("rerun wedged where the first run completed: {diag}")),
-    }
-}
-
-/// One capacity-sweep cell: fault-free, finite resources from `cfg`.
-/// Completes (or wedges — a failure), verifies values against the reference
-/// SC execution, and reruns for bit-identical statistics.
-fn capacity_cell(
-    cfg: &MachineConfig,
-    proto: Protocol,
-    seed: u64,
-    phases: usize,
-    csecs: usize,
-    watchdog: u64,
-) -> CellOutcome {
-    let script = soak_script(seed, cfg.num_procs, phases, csecs, cfg);
-    let build = || {
-        Machine::new(cfg.clone(), proto)
-            .with_value_tracking()
-            .with_race_detection()
-            .with_watchdog(watchdog)
-            .with_max_cycles(50_000_000_000)
-    };
-    let (first, m) = match build().try_run_wedge(Box::new(script.clone())) {
+    let script = soak_script(seed, c.phases, c.csecs, cfg);
+    let first_run = build(cfg, proto, plan.clone(), c.watchdog);
+    let (first, m) = match first_run.try_run_wedge(Box::new(script.clone())) {
         Ok(pair) => pair,
         Err((diag, wedged)) => return CellOutcome::Wedged(diag, wedged),
     };
     if let Err(e) = verify_values(&m, &script) {
         return CellOutcome::Failed(e);
     }
-    match build().try_run(Box::new(script)) {
+    // Reproduce: same (seed, plan) must yield bit-identical statistics.
+    match build(cfg, proto, plan, c.watchdog).try_run(Box::new(script)) {
         Ok(second) if second.stats == first.stats => CellOutcome::Ok(Box::new(first.stats)),
-        Ok(_) => CellOutcome::Failed("rerun with the same capacities diverged".into()),
-        Err(diag) => {
-            CellOutcome::Failed(format!("rerun wedged where the first run completed: {diag}"))
-        }
+        Ok(_) => CellOutcome::Failed("rerun with the same (seed, plan) diverged".into()),
+        Err(diag) => CellOutcome::Failed(format!("rerun wedged where the first run completed: {diag}")),
     }
 }
 
 /// The finite-resource sweep: NI queue depth (which also bounds directory
 /// request slots) × write-notice budget × protocol × seed. Returns the
 /// number of failed cells.
-fn capacity_sweep(
-    base: &MachineConfig,
-    smoke: bool,
-    seeds: u64,
-    phases: usize,
-    csecs: usize,
-    watchdog: u64,
-    quiet: bool,
-) -> usize {
+fn capacity_sweep(c: &Config) -> usize {
+    let smoke = c.smoke;
     let depths: &[Option<usize>] = if smoke { &[None, Some(2)] } else { &[None, Some(8), Some(2)] };
     let budgets: &[Option<usize>] = if smoke { &[None, Some(1)] } else { &[None, Some(16), Some(1)] };
     let fmt = |c: Option<usize>| c.map_or("inf".to_string(), |v| v.to_string());
@@ -270,7 +224,7 @@ fn capacity_sweep(
     let mut pressure = 0u64;
     for &depth in depths {
         for &budget in budgets {
-            let mut cfg = base.clone();
+            let mut cfg = c.machine.clone();
             cfg.resources = ResourceLimits {
                 ni_ingress: depth,
                 ni_egress: depth,
@@ -279,7 +233,7 @@ fn capacity_sweep(
                 ..ResourceLimits::unbounded()
             };
             for &proto in &Protocol::ALL {
-                for seed in 1..=seeds {
+                for seed in 1..=c.seeds {
                     cells += 1;
                     let tag = format!(
                         "{:<8} depth={:<3} wn={:<3} seed={seed}",
@@ -287,11 +241,12 @@ fn capacity_sweep(
                         fmt(depth),
                         fmt(budget)
                     );
-                    match capacity_cell(&cfg, proto, seed, phases, csecs, watchdog) {
+                    // Fault-free: the inactive plan installs nothing.
+                    match run_cell(c, &cfg, proto, FaultPlan::off(seed), seed) {
                         CellOutcome::Ok(stats) => {
                             let r = &stats.resources;
                             pressure += r.busy_nacks + r.ni_rejects + r.wn_overflows;
-                            if !quiet {
+                            if !c.quiet {
                                 eprintln!(
                                     "  ok {tag}  {:>10} cycles  {:>7} refs  \
                                      {:>4} nacks  {:>4} rejects  {:>3} overflows",
@@ -335,10 +290,11 @@ fn capacity_sweep(
 /// `racy` micro workload must be flagged; and every cell must reproduce
 /// bit-identically — race reports included, since they live in
 /// [`MachineStats`]. Returns the number of failed cells.
-fn races_sweep(base: &MachineConfig, smoke: bool, watchdog: u64, quiet: bool) -> usize {
+fn races_sweep(c: &Config) -> usize {
     use lrc_workloads::{racy, Scale, WorkloadKind};
 
-    let scale = if smoke { Scale::Tiny } else { Scale::Small };
+    let base = &c.machine;
+    let scale = if c.smoke { Scale::Tiny } else { Scale::Small };
     // (name, builder, expected racy?). mp3d and locusroute are racy *by
     // construction* — the paper names them as the two programs that do not
     // obey the release-consistency model — so they double as organic
@@ -366,7 +322,7 @@ fn races_sweep(base: &MachineConfig, smoke: bool, watchdog: u64, quiet: bool) ->
             let run = || {
                 Machine::new(base.clone(), proto)
                     .with_race_detection()
-                    .with_watchdog(watchdog)
+                    .with_watchdog(c.watchdog)
                     .with_max_cycles(50_000_000_000)
                     .try_run(build_w())
             };
@@ -396,7 +352,7 @@ fn races_sweep(base: &MachineConfig, smoke: bool, watchdog: u64, quiet: bool) ->
             }
             match run() {
                 Ok(second) if second.stats == first.stats => {
-                    if !quiet {
+                    if !c.quiet {
                         eprintln!(
                             "  ok {tag}  {:>10} cycles  {:>9} words monitored  \
                              {:>3} race(s){}",
@@ -459,50 +415,33 @@ fn avail_plan(rate: f64, procs: usize, seed: u64) -> FaultPlan {
 /// verification (values against the reference SC execution, detector
 /// provably silent); crashed cells assert surviving-node completion,
 /// plan-matching typed crash counters, and a bit-identical rerun.
-fn availability_cell(
-    cfg: &MachineConfig,
-    proto: Protocol,
-    rate: f64,
-    seed: u64,
-    phases: usize,
-    csecs: usize,
-    watchdog: u64,
-) -> CellOutcome {
-    let script = soak_script(seed, cfg.num_procs, phases, csecs, cfg);
+fn availability_cell(c: &Config, proto: Protocol, rate: f64, seed: u64) -> CellOutcome {
+    let (cfg, watchdog) = (&c.machine, c.watchdog);
     let plan = avail_plan(rate, cfg.num_procs, seed);
     let victims: Vec<usize> =
         plan.crash.as_ref().map_or(Vec::new(), |c| c.victims.iter().map(|&(v, _)| v).collect());
 
     if victims.is_empty() {
-        let (first, m) =
-            match build(cfg, proto, plan.clone(), watchdog).try_run_wedge(Box::new(script.clone())) {
-                Ok(pair) => pair,
-                Err((diag, wedged)) => return CellOutcome::Wedged(diag, wedged),
-            };
-        let c = &first.stats.crashes;
-        if c.heartbeats_sent == 0 {
-            return CellOutcome::Failed(format!("detection was never armed: {c:?}"));
-        }
-        if c.crashes != 0 || c.suspicions != 0 {
-            return CellOutcome::Failed(format!(
-                "the armed detector perturbed a healthy run: {c:?}"
-            ));
-        }
-        if let Err(e) = verify_values(&m, &script) {
-            return CellOutcome::Failed(e);
-        }
-        return match build(cfg, proto, plan, watchdog).try_run(Box::new(script)) {
-            Ok(second) if second.stats == first.stats => CellOutcome::Ok(Box::new(first.stats)),
-            Ok(_) => CellOutcome::Failed("rerun with the same (seed, plan) diverged".into()),
-            Err(diag) => {
-                CellOutcome::Failed(format!("rerun wedged where the first run completed: {diag}"))
+        return match run_cell(c, cfg, proto, plan, seed) {
+            CellOutcome::Ok(stats) => {
+                let cs = &stats.crashes;
+                if cs.heartbeats_sent == 0 {
+                    CellOutcome::Failed(format!("detection was never armed: {cs:?}"))
+                } else if cs.crashes != 0 || cs.suspicions != 0 {
+                    let why = "the armed detector perturbed a healthy run";
+                    CellOutcome::Failed(format!("{why}: {cs:?}"))
+                } else {
+                    CellOutcome::Ok(stats)
+                }
             }
+            outcome => outcome,
         };
     }
 
     // Crashed cells: dirty lines can die with their owners, so the value
     // comparison against the reference SC execution no longer applies;
     // the cell's contract is completion, typed accounting, determinism.
+    let script = soak_script(seed, c.phases, c.csecs, cfg);
     let run = || {
         Machine::new(cfg.clone(), proto)
             .with_fault_plan(plan.clone())
@@ -513,16 +452,16 @@ fn availability_cell(
         Ok(pair) => pair,
         Err((diag, wedged)) => return CellOutcome::Wedged(diag, wedged),
     };
-    let c = &first.stats.crashes;
-    if c.crashes != victims.len() as u64 {
+    let cs = &first.stats.crashes;
+    if cs.crashes != victims.len() as u64 {
         return CellOutcome::Failed(format!(
-            "{} node(s) on the kill list but {} died: {c:?}",
+            "{} node(s) on the kill list but {} died: {cs:?}",
             victims.len(),
-            c.crashes
+            cs.crashes
         ));
     }
-    if c.suspicions == 0 {
-        return CellOutcome::Failed(format!("nobody ever suspected the dead node(s): {c:?}"));
+    if cs.suspicions == 0 {
+        return CellOutcome::Failed(format!("nobody ever suspected the dead node(s): {cs:?}"));
     }
     for (p, ps) in first.stats.procs.iter().enumerate() {
         if victims.contains(&p) {
@@ -546,104 +485,56 @@ fn availability_cell(
 /// and resumable exactly like the fault grid (the caller has already
 /// pinned the manifest, crash-plan shape included). Returns the number of
 /// failed cells.
-#[allow(clippy::too_many_arguments)]
-fn availability_sweep(
-    cfg: &MachineConfig,
-    rates: &[f64],
-    seeds: u64,
-    phases: usize,
-    csecs: usize,
-    watchdog: u64,
-    quiet: bool,
-    journal: &Option<Journal>,
-    resume: bool,
-    dump_dir: &Path,
-) -> usize {
+fn availability_sweep(c: &Config, journal: &Option<Journal>, dump_dir: &Path) -> usize {
     let mut cells = 0usize;
     let mut failures = 0usize;
     let mut total_killed = 0u64;
     let mut total_lost = 0u64;
-    for &rate in rates {
+    for &rate in &c.rates {
         for &proto in &Protocol::ALL {
-            for seed in 1..=seeds {
+            for seed in 1..=c.seeds {
                 cells += 1;
                 let key = format!("avail{rate}-{}-seed{seed}", proto.name());
-                let (rec, fresh) = match resume
-                    .then(|| journal.as_ref().and_then(|j| j.load(&key)))
-                    .flatten()
-                {
-                    Some(rec) => (rec, false),
-                    None => {
-                        let rec = match availability_cell(
-                            cfg, proto, rate, seed, phases, csecs, watchdog,
-                        ) {
-                            CellOutcome::Ok(stats) => {
-                                let c = &stats.crashes;
-                                let survivors = stats
-                                    .procs
-                                    .iter()
-                                    .filter(|ps| ps.finish_time > 0)
-                                    .count();
-                                CellRecord {
-                                    ok: true,
-                                    line: format!(
-                                        "  ok {proto:<8} crash={rate:<5} seed={seed}  \
-                                         {:>10} cycles  {survivors}/{} finished  \
-                                         {:>2} killed  {:>3} dirty lost  {:>3} reclaimed\n",
-                                        stats.total_cycles,
-                                        stats.procs.len(),
-                                        c.crashes,
-                                        c.dirty_lines_lost,
-                                        c.clean_lines_reclaimed,
-                                    ),
-                                    // Journal fields double as the sweep's
-                                    // availability totals: nodes killed and
-                                    // dirty lines lost.
-                                    injected: c.crashes,
-                                    retries: c.dirty_lines_lost,
-                                }
+                let rec = settle(c, journal, &key, || {
+                    match availability_cell(c, proto, rate, seed) {
+                        CellOutcome::Ok(stats) => {
+                            let cs = &stats.crashes;
+                            let survivors =
+                                stats.procs.iter().filter(|ps| ps.finish_time > 0).count();
+                            CellRecord {
+                                ok: true,
+                                line: format!(
+                                    "  ok {proto:<8} crash={rate:<5} seed={seed}  \
+                                     {:>10} cycles  {survivors}/{} finished  \
+                                     {:>2} killed  {:>3} dirty lost  {:>3} reclaimed\n",
+                                    stats.total_cycles,
+                                    stats.procs.len(),
+                                    cs.crashes,
+                                    cs.dirty_lines_lost,
+                                    cs.clean_lines_reclaimed,
+                                ),
+                                // Journal fields double as the sweep's
+                                // availability totals: nodes killed and
+                                // dirty lines lost.
+                                injected: cs.crashes,
+                                retries: cs.dirty_lines_lost,
                             }
-                            CellOutcome::Failed(e) => CellRecord {
-                                ok: false,
-                                line: format!("FAIL {proto:<8} crash={rate:<5} seed={seed}: {e}\n"),
-                                injected: 0,
-                                retries: 0,
-                            },
-                            CellOutcome::Wedged(diag, wedged) => {
-                                let mut line = format!(
-                                    "FAIL {proto:<8} crash={rate:<5} seed={seed}: \
-                                     survivors wedged: {diag}\n"
-                                );
-                                match dump_wedge(dump_dir, &key, &wedged, seed, phases, csecs) {
-                                    Ok(p) => line.push_str(&format!(
-                                        "      stall snapshot: {}\n      \
-                                         replay: lrc-soak --replay {}\n",
-                                        p.display(),
-                                        p.display()
-                                    )),
-                                    Err(e) => line
-                                        .push_str(&format!("      (stall snapshot not written: {e})\n")),
-                                }
-                                CellRecord { ok: false, line, injected: 0, retries: 0 }
-                            }
-                        };
-                        (rec, true)
+                        }
+                        CellOutcome::Failed(e) => CellRecord::failed(format!(
+                            "FAIL {proto:<8} crash={rate:<5} seed={seed}: {e}\n"
+                        )),
+                        CellOutcome::Wedged(diag, wedged) => CellRecord::failed(format!(
+                            "FAIL {proto:<8} crash={rate:<5} seed={seed}: survivors wedged: \
+                             {diag}\n{}",
+                            wedge_lines(dump_wedge(dump_dir, &key, &wedged, seed, c), None)
+                        )),
                     }
-                };
+                });
                 if rec.ok {
                     total_killed += rec.injected;
                     total_lost += rec.retries;
-                    if !quiet {
-                        eprint!("{}", rec.line);
-                    }
                 } else {
                     failures += 1;
-                    eprint!("{}", rec.line);
-                }
-                if fresh {
-                    if let Some(j) = journal {
-                        j.store(&key, &rec);
-                    }
                 }
             }
         }
@@ -665,17 +556,13 @@ fn availability_sweep(
 /// ready-to-paste replay command, demonstrating the stall artifact chain
 /// end to end. Returns the stage's report block on success, an error
 /// description if no seed produced a wedge or a wedge was malformed.
-fn unrecoverable_stage(
-    cfg: &MachineConfig,
-    phases: usize,
-    csecs: usize,
-    dump_dir: &Path,
-) -> Result<String, String> {
+fn unrecoverable_stage(c: &Config, dump_dir: &Path) -> Result<String, String> {
+    let cfg = &c.machine;
     let mut lossy = FaultPlan::off(0);
     lossy.rates = [FaultRates { drop: 0.25, ..FaultRates::default() }; MsgClass::COUNT];
     lossy.max_retries = 0;
     for seed in 1..=5u64 {
-        let script = soak_script(seed, cfg.num_procs, phases, csecs, cfg);
+        let script = soak_script(seed, c.phases, c.csecs, cfg);
         let plan = FaultPlan { seed, ..lossy.clone() };
         match build(cfg, Protocol::Lrc, plan, 2_000_000).try_run_wedge(Box::new(script)) {
             Ok(_) => continue, // this seed got lucky; try the next
@@ -696,14 +583,7 @@ fn unrecoverable_stage(
                     diag.abandoned_msgs[0]
                 );
                 let key = format!("unrecoverable-seed{seed}");
-                match dump_wedge(dump_dir, &key, &wedged, seed, phases, csecs) {
-                    Ok(p) => line.push_str(&format!(
-                        "      stall snapshot: {}\n      replay: lrc-soak --replay {}\n",
-                        p.display(),
-                        p.display()
-                    )),
-                    Err(e) => line.push_str(&format!("      (stall snapshot not written: {e})\n")),
-                }
+                line += &wedge_lines(dump_wedge(dump_dir, &key, &wedged, seed, c), None);
                 return Ok(line);
             }
         }
@@ -723,13 +603,17 @@ struct CellRecord {
 }
 
 impl CellRecord {
+    fn failed(line: String) -> CellRecord {
+        CellRecord { ok: false, line, injected: 0, retries: 0 }
+    }
+
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("outcome".to_string(), Value::Str(if self.ok { "ok" } else { "fail" }.to_string())),
-            ("injected".to_string(), Value::Str(self.injected.to_string())),
-            ("retries".to_string(), Value::Str(self.retries.to_string())),
-            ("line".to_string(), Value::Str(self.line.clone())),
-        ])
+        json!({
+            "outcome": if self.ok { "ok" } else { "fail" },
+            "injected": self.injected.to_string(),
+            "retries": self.retries.to_string(),
+            "line": self.line.clone(),
+        })
     }
 
     fn from_json(v: &Value) -> Option<CellRecord> {
@@ -755,12 +639,6 @@ struct Journal {
 }
 
 impl Journal {
-    fn open(dir: &str) -> Journal {
-        fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("cannot create checkpoint dir {dir}: {e}")));
-        Journal { dir: PathBuf::from(dir) }
-    }
-
     fn path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("cell-{key}.json"))
     }
@@ -787,11 +665,14 @@ impl Journal {
         let want = manifest.pretty();
         match fs::read_to_string(&path) {
             Ok(have) if have == want => {}
-            Ok(_) => die(&format!(
-                "checkpoint dir {} was written by a sweep with different \
-                 parameters; pass the original flags or use a fresh dir",
-                self.dir.display()
-            )),
+            Ok(_) => {
+                eprintln!(
+                    "lrc-soak: checkpoint dir {} was written by a sweep with different \
+                     parameters; pass the original flags or use a fresh dir",
+                    self.dir.display()
+                );
+                std::process::exit(2)
+            }
             Err(_) => {
                 let tmp = self.dir.join(".sweep.json.tmp");
                 let write =
@@ -804,6 +685,31 @@ impl Journal {
     }
 }
 
+/// Emit one journaled cell. Resumed cells replay their recorded verdict
+/// (and exact output) without rerunning; fresh cells run and then persist
+/// theirs — so a killed-midway sweep resumed with `--resume DIR` produces
+/// output and exit status identical to an uninterrupted sweep. Failures
+/// always print; passes print unless `--quiet`.
+fn settle(
+    c: &Config,
+    journal: &Option<Journal>,
+    key: &str,
+    run: impl FnOnce() -> CellRecord,
+) -> CellRecord {
+    let resumed = if c.resume { journal.as_ref().and_then(|j| j.load(key)) } else { None };
+    let rec = resumed.unwrap_or_else(|| {
+        let rec = run();
+        if let Some(j) = journal {
+            j.store(key, &rec);
+        }
+        rec
+    });
+    if !rec.ok || !c.quiet {
+        eprint!("{}", rec.line);
+    }
+    rec
+}
+
 /// Dump a wedged machine's snapshot, wrapped in an envelope carrying the
 /// generator parameters needed to rebuild its workload, so
 /// `lrc-soak --replay FILE` can restore the exact pre-stall state.
@@ -812,30 +718,42 @@ fn dump_wedge(
     key: &str,
     m: &Machine,
     seed: u64,
-    phases: usize,
-    csecs: usize,
+    c: &Config,
 ) -> Result<PathBuf, String> {
     let snap = m.snapshot().map_err(|e| format!("snapshot refused: {e}"))?;
     let snap_v =
         lrc_json::parse(&snap.to_json_string()).map_err(|e| format!("snapshot reparse: {e}"))?;
-    let env = Value::Object(vec![
-        ("kind".to_string(), Value::Str("lrc-soak-wedge".to_string())),
-        (
-            "script".to_string(),
-            Value::Object(vec![
-                ("seed".to_string(), Value::Str(seed.to_string())),
-                ("phases".to_string(), Value::Num(phases as f64)),
-                ("csecs".to_string(), Value::Num(csecs as f64)),
-            ]),
-        ),
-        ("snapshot".to_string(), snap_v),
-    ]);
+    let env = json!({
+        "kind": "lrc-soak-wedge",
+        "script": { "seed": seed.to_string(), "phases": c.phases, "csecs": c.csecs },
+        "snapshot": snap_v,
+    });
     fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let path = dir.join(format!("wedge-{key}.json"));
     let tmp = dir.join(format!(".wedge-{key}.json.tmp"));
     fs::write(&tmp, env.pretty()).map_err(|e| e.to_string())?;
     fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
     Ok(path)
+}
+
+/// The report lines under a wedged cell: the dumped stall snapshot and the
+/// commands that restore it (replay) or, with a journal in `resume_dir`,
+/// finish the sweep around it (resume).
+fn wedge_lines(dumped: Result<PathBuf, String>, resume_dir: Option<&Path>) -> String {
+    match dumped {
+        Ok(p) => {
+            let mut s = format!(
+                "      stall snapshot: {}\n      replay: lrc-soak --replay {}\n",
+                p.display(),
+                p.display()
+            );
+            if let Some(dir) = resume_dir {
+                s += &format!("      resume sweep: lrc-soak --resume {}\n", dir.display());
+            }
+            s
+        }
+        Err(e) => format!("      (stall snapshot not written: {e})\n"),
+    }
 }
 
 /// `--replay FILE`: restore a wedge dump and drive it forward. Exit 0 when
@@ -868,7 +786,7 @@ fn replay(file: &str, quiet: bool) -> ! {
     let cfg = snap
         .config()
         .unwrap_or_else(|| fail("embedded snapshot carries no machine config".to_string()));
-    let script = soak_script(seed, cfg.num_procs, phases, csecs, &cfg);
+    let script = soak_script(seed, phases, csecs, &cfg);
     let mut m = snap
         .restore(Box::new(script))
         .unwrap_or_else(|e| fail(format!("restore: {e}")));
@@ -901,337 +819,292 @@ fn replay(file: &str, quiet: bool) -> ! {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("lrc-soak: {msg}");
-    std::process::exit(2)
+/// Which sweep a command line selects (`--replay` aside).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Faults,
+    Capacity,
+    Races,
+    Availability,
+}
+
+/// A checked `lrc-soak` command line, defaults resolved.
+#[derive(Debug, Clone, PartialEq)]
+struct Config {
+    replay: Option<String>,
+    mode: Mode,
+    smoke: bool,
+    quiet: bool,
+    /// The Table-1 machine for `--procs`, checked buildable.
+    machine: MachineConfig,
+    seeds: u64,
+    phases: usize,
+    csecs: usize,
+    rates: Vec<f64>,
+    watchdog: u64,
+    checkpoint_dir: Option<PathBuf>,
+    resume: bool,
+}
+
+fn config(a: &Args) -> Result<Config, CliError> {
+    let smoke = a.switch("--smoke");
+    let mode = if a.switch("--availability") {
+        Mode::Availability
+    } else if a.switch("--races") {
+        Mode::Races
+    } else if a.switch("--capacity-sweep") {
+        Mode::Capacity
+    } else {
+        Mode::Faults
+    };
+    let machine = lrc_exp::procs_flag(a, if smoke { 4 } else { 8 })?;
+    let seeds = a.get("--seeds", "a seed count >= 1")?.unwrap_or(if smoke { 1 } else { 3 });
+    if seeds == 0 {
+        return Err(CliError::invalid("--seeds", "0", "a seed count >= 1"));
+    }
+    // `--rates` is the grid's variable axis: link-fault rates by default,
+    // crash rates (fraction of nodes killed) under `--availability`.
+    let expected = "a comma-separated list of rates in [0, 1]";
+    let rates = match a.list::<f64>("--rates", expected)? {
+        Some(r) if r.iter().all(|x| (0.0..=1.0).contains(x)) => r,
+        Some(_) => return Err(CliError::invalid("--rates", a.value("--rates").unwrap(), expected)),
+        None => match (mode == Mode::Availability, smoke) {
+            (true, true) => vec![0.0, 0.25],
+            (true, false) => vec![0.0, 0.125, 0.25],
+            (false, true) => vec![0.0, 1e-3],
+            (false, false) => vec![0.0, 1e-4, 1e-3],
+        },
+    };
+    // `--checkpoint-dir DIR` journals; `--resume DIR` journals into DIR
+    // and replays the cells already there. Both name the same journal.
+    let (ckpt, resume) = (a.value("--checkpoint-dir"), a.value("--resume"));
+    if let (Some(dir), Some(other)) = (ckpt, resume) {
+        if dir != other {
+            let expected = format!("the --checkpoint-dir {dir}");
+            return Err(CliError::invalid("--resume", other, expected));
+        }
+    }
+    let journal = match resume {
+        Some(_) => a.out_dir("--resume")?,
+        None => a.out_dir("--checkpoint-dir")?,
+    };
+    Ok(Config {
+        replay: a.value("--replay").map(str::to_string),
+        mode,
+        smoke,
+        quiet: a.switch("--quiet"),
+        machine,
+        seeds,
+        phases: a.get("--phases", "a phase count")?.unwrap_or(if smoke { 3 } else { 6 }),
+        csecs: if smoke { 4 } else { 8 },
+        rates,
+        watchdog: a.get("--watchdog", "a cycle count")?.unwrap_or(10_000_000),
+        checkpoint_dir: journal,
+        resume: resume.is_some(),
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut capacity = false;
-    let mut races = false;
-    let mut availability = false;
-    let mut quiet = false;
-    let mut procs: Option<usize> = None;
-    let mut seeds: Option<u64> = None;
-    let mut phases: Option<usize> = None;
-    let mut rates: Option<Vec<f64>> = None;
-    let mut watchdog = 10_000_000u64;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut resume = false;
-    let mut replay_file: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--capacity-sweep" => capacity = true,
-            "--races" => races = true,
-            "--availability" => availability = true,
-            "--quiet" => quiet = true,
-            "--procs" => {
-                let v = value(&mut i, "--procs");
-                procs = Some(v.parse().unwrap_or_else(|_| die(&format!("--procs: invalid count '{v}'"))));
-            }
-            "--seeds" => {
-                let v = value(&mut i, "--seeds");
-                seeds = Some(v.parse().unwrap_or_else(|_| die(&format!("--seeds: invalid count '{v}'"))));
-            }
-            "--phases" => {
-                let v = value(&mut i, "--phases");
-                phases = Some(v.parse().unwrap_or_else(|_| die(&format!("--phases: invalid count '{v}'"))));
-            }
-            "--rates" => {
-                let v = value(&mut i, "--rates");
-                rates = Some(
-                    v.split(',')
-                        .map(|r| {
-                            r.parse()
-                                .unwrap_or_else(|_| die(&format!("--rates: invalid rate '{r}'")))
-                        })
-                        .collect(),
-                );
-            }
-            "--watchdog" => {
-                let v = value(&mut i, "--watchdog");
-                watchdog =
-                    v.parse().unwrap_or_else(|_| die(&format!("--watchdog: invalid cycles '{v}'")));
-            }
-            "--checkpoint-dir" => {
-                let v = value(&mut i, "--checkpoint-dir");
-                if checkpoint_dir.as_ref().is_some_and(|d| *d != v) {
-                    die("--checkpoint-dir conflicts with an earlier --resume/--checkpoint-dir");
-                }
-                checkpoint_dir = Some(v);
-            }
-            "--resume" => {
-                let v = value(&mut i, "--resume");
-                if checkpoint_dir.as_ref().is_some_and(|d| *d != v) {
-                    die("--resume conflicts with an earlier --resume/--checkpoint-dir");
-                }
-                checkpoint_dir = Some(v);
-                resume = true;
-            }
-            "--replay" => replay_file = Some(value(&mut i, "--replay")),
-            other => die(&format!(
-                "unknown argument '{other}' \
-                 (usage: lrc-soak [--smoke] [--capacity-sweep] [--races] [--availability] \
-                 [--procs N] [--seeds N] [--phases N] [--rates R1,R2,...] [--watchdog CYCLES] \
-                 [--checkpoint-dir DIR] [--resume DIR] [--replay FILE] [--quiet])"
-            )),
-        }
-        i += 1;
+    let c = cli::SOAK.parse_or_exit(std::env::args().skip(1), config);
+    if let Some(file) = &c.replay {
+        replay(file, c.quiet);
     }
 
-    if let Some(file) = replay_file {
-        replay(&file, quiet);
-    }
-
-    let procs = procs.unwrap_or(if smoke { 4 } else { 8 });
-    let seeds = seeds.unwrap_or(if smoke { 1 } else { 3 });
-    let phases = phases.unwrap_or(if smoke { 3 } else { 6 });
-    let csecs = if smoke { 4 } else { 8 };
-    // `--rates` is the grid's variable axis: link-fault rates by default,
-    // crash rates (fraction of nodes killed) under `--availability`.
-    let rates = rates.unwrap_or(match (availability, smoke) {
-        (true, true) => vec![0.0, 0.25],
-        (true, false) => vec![0.0, 0.125, 0.25],
-        (false, true) => vec![0.0, 1e-3],
-        (false, false) => vec![0.0, 1e-4, 1e-3],
-    });
-    let cfg = MachineConfig::paper_default(procs);
-
-    let journal = checkpoint_dir.as_deref().map(Journal::open);
+    let journal = c.checkpoint_dir.clone().map(|dir| Journal { dir });
     if let Some(j) = &journal {
+        let availability = c.mode == Mode::Availability;
         // The crash-plan shape is part of the manifest: a `--resume` of an
         // availability sweep under a different plan (or of a fault sweep
         // as an availability sweep) is a fatal mismatch, never a silent
         // mix of cells that mean different things.
-        let crash = if availability {
-            Value::Object(vec![
-                ("heartbeat_every".to_string(), Value::Str(AVAIL_HEARTBEAT.to_string())),
-                ("lease_timeout".to_string(), Value::Str(AVAIL_LEASE.to_string())),
-            ])
-        } else {
-            Value::Null
-        };
-        j.check_manifest(&Value::Object(vec![
-            (
-                "mode".to_string(),
-                Value::Str(if availability { "availability" } else { "faults" }.to_string()),
-            ),
-            ("procs".to_string(), Value::Num(procs as f64)),
-            ("seeds".to_string(), Value::Num(seeds as f64)),
-            ("phases".to_string(), Value::Num(phases as f64)),
-            ("csecs".to_string(), Value::Num(csecs as f64)),
-            ("watchdog".to_string(), Value::Str(watchdog.to_string())),
-            ("rates".to_string(), Value::Array(rates.iter().map(|&r| Value::Num(r)).collect())),
-            ("crash".to_string(), crash),
-        ]));
+        let crash = availability.then(|| {
+            json!({
+                "heartbeat_every": AVAIL_HEARTBEAT.to_string(),
+                "lease_timeout": AVAIL_LEASE.to_string(),
+            })
+        });
+        j.check_manifest(&json!({
+            "mode": if availability { "availability" } else { "faults" },
+            "procs": c.machine.num_procs,
+            "seeds": c.seeds,
+            "phases": c.phases,
+            "csecs": c.csecs,
+            "watchdog": c.watchdog.to_string(),
+            "rates": c.rates.clone(),
+            "crash": crash,
+        }));
     }
     // Wedge snapshots land next to the journal when one exists, else
     // under results/wedges/ — never loose in the working directory.
     let dump_dir: PathBuf =
         journal.as_ref().map(|j| j.dir.clone()).unwrap_or_else(|| PathBuf::from("results/wedges"));
 
-    if availability {
-        if !quiet {
-            eprintln!(
-                "lrc-soak --availability{}: {} procs, {} seed(s), crash rates {:?}, {} protocols",
-                if smoke { " --smoke" } else { "" },
-                procs,
-                seeds,
-                rates,
-                Protocol::ALL.len()
-            );
-        }
-        let failures = availability_sweep(
-            &cfg, &rates, seeds, phases, csecs, watchdog, quiet, &journal, resume, &dump_dir,
-        );
-        std::process::exit(if failures > 0 { 1 } else { 0 });
+    let smoke = if c.smoke { " --smoke" } else { "" };
+    let (procs, seeds, protocols) = (c.machine.num_procs, c.seeds, Protocol::ALL.len());
+    let banner = match c.mode {
+        Mode::Availability => format!(
+            "lrc-soak --availability{smoke}: {procs} procs, {seeds} seed(s), crash rates {:?}, \
+             {protocols} protocols",
+            c.rates
+        ),
+        Mode::Races => format!(
+            "lrc-soak --races{smoke}: {procs} procs, {protocols} protocols, application suite + \
+             positive control"
+        ),
+        Mode::Capacity => format!(
+            "lrc-soak --capacity-sweep{smoke}: {procs} procs, {seeds} seed(s), \
+             {protocols} protocols"
+        ),
+        Mode::Faults => format!(
+            "lrc-soak{smoke}: {procs} procs, {seeds} seed(s), rates {:?}, {protocols} protocols",
+            c.rates
+        ),
+    };
+    if !c.quiet {
+        eprintln!("{banner}");
     }
+    let failures = match c.mode {
+        Mode::Availability => availability_sweep(&c, &journal, &dump_dir),
+        Mode::Races => races_sweep(&c),
+        Mode::Capacity => capacity_sweep(&c),
+        Mode::Faults => fault_sweep(&c, &journal, &dump_dir),
+    };
+    std::process::exit(if failures > 0 { 1 } else { 0 });
+}
 
-    if races {
-        if !quiet {
-            eprintln!(
-                "lrc-soak --races{}: {} procs, {} protocols, application suite + positive control",
-                if smoke { " --smoke" } else { "" },
-                procs,
-                Protocol::ALL.len()
-            );
-        }
-        let failures = races_sweep(&cfg, smoke, watchdog, quiet);
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-
-    if capacity {
-        if !quiet {
-            eprintln!(
-                "lrc-soak --capacity-sweep{}: {} procs, {} seed(s), {} protocols",
-                if smoke { " --smoke" } else { "" },
-                procs,
-                seeds,
-                Protocol::ALL.len()
-            );
-        }
-        let failures = capacity_sweep(&cfg, smoke, seeds, phases, csecs, watchdog, quiet);
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-
-    if !quiet {
-        eprintln!(
-            "lrc-soak{}: {} procs, {} seed(s), rates {:?}, {} protocols",
-            if smoke { " --smoke" } else { "" },
-            procs,
-            seeds,
-            rates,
-            Protocol::ALL.len()
-        );
-    }
-
+/// The default sweep: link-fault rate × protocol × seed, then the
+/// unrecoverable stage. Journaled and resumable. Returns the number of
+/// failed cells.
+fn fault_sweep(c: &Config, journal: &Option<Journal>, dump_dir: &Path) -> usize {
     let mut cells = 0usize;
     let mut failures = 0usize;
     let mut total_injected = 0u64;
     let mut total_retries = 0u64;
-    // Emit one journaled record per cell: resumed cells replay their
-    // recorded verdict (and exact output) without rerunning, fresh cells
-    // run and then persist theirs — so a killed-midway sweep resumed with
-    // `--resume DIR` produces output and exit status identical to an
-    // uninterrupted sweep.
-    let settle = |rec: CellRecord,
-                      key: &str,
-                      fresh: bool,
-                      failures: &mut usize,
-                      total_injected: &mut u64,
-                      total_retries: &mut u64| {
+    let mut tally = |rec: CellRecord| {
         if rec.ok {
-            *total_injected += rec.injected;
-            *total_retries += rec.retries;
-            if !quiet {
-                eprint!("{}", rec.line);
-            }
+            total_injected += rec.injected;
+            total_retries += rec.retries;
         } else {
-            *failures += 1;
-            eprint!("{}", rec.line);
-        }
-        if fresh {
-            if let Some(j) = &journal {
-                j.store(key, &rec);
-            }
+            failures += 1;
         }
     };
-    for &rate in &rates {
+    for &rate in &c.rates {
         for &proto in &Protocol::ALL {
-            for seed in 1..=seeds {
+            for seed in 1..=c.seeds {
                 cells += 1;
                 let key = format!("rate{rate}-{}-seed{seed}", proto.name());
-                if resume {
-                    if let Some(rec) = journal.as_ref().and_then(|j| j.load(&key)) {
-                        settle(rec, &key, false, &mut failures, &mut total_injected, &mut total_retries);
-                        continue;
+                let plan = FaultPlan::uniform(rate, seed);
+                let run = || match run_cell(c, &c.machine, proto, plan, seed) {
+                    CellOutcome::Ok(stats) if rate == 0.0 && !stats.faults.is_zero() => {
+                        CellRecord::failed(format!(
+                            "FAIL {proto:<8} rate={rate:<7} seed={seed}: \
+                             faults injected at rate 0: {:?}\n",
+                            stats.faults
+                        ))
                     }
-                }
-                let rec = match run_cell(&cfg, proto, rate, seed, phases, csecs, watchdog) {
-                    CellOutcome::Ok(stats) => {
-                        if rate == 0.0 && !stats.faults.is_zero() {
-                            CellRecord {
-                                ok: false,
-                                line: format!(
-                                    "FAIL {proto:<8} rate={rate:<7} seed={seed}: \
-                                     faults injected at rate 0: {:?}\n",
-                                    stats.faults
-                                ),
-                                injected: 0,
-                                retries: 0,
-                            }
-                        } else {
-                            CellRecord {
-                                ok: true,
-                                line: format!(
-                                    "  ok {proto:<8} rate={rate:<7} seed={seed}  \
-                                     {:>10} cycles  {:>7} refs  {:>4} faults  {:>4} retries\n",
-                                    stats.total_cycles,
-                                    stats.total_refs(),
-                                    stats.faults.injected(),
-                                    stats.faults.retries,
-                                ),
-                                injected: stats.faults.injected(),
-                                retries: stats.faults.retries,
-                            }
-                        }
-                    }
-                    CellOutcome::Failed(e) => CellRecord {
-                        ok: false,
-                        line: format!("FAIL {proto:<8} rate={rate:<7} seed={seed}: {e}\n"),
-                        injected: 0,
-                        retries: 0,
+                    CellOutcome::Ok(stats) => CellRecord {
+                        ok: true,
+                        line: format!(
+                            "  ok {proto:<8} rate={rate:<7} seed={seed}  \
+                             {:>10} cycles  {:>7} refs  {:>4} faults  {:>4} retries\n",
+                            stats.total_cycles,
+                            stats.total_refs(),
+                            stats.faults.injected(),
+                            stats.faults.retries,
+                        ),
+                        injected: stats.faults.injected(),
+                        retries: stats.faults.retries,
                     },
-                    CellOutcome::Wedged(diag, wedged) => {
-                        let mut line = format!(
-                            "FAIL {proto:<8} rate={rate:<7} seed={seed}: wedged at a \
-                             recoverable rate: {diag}\n"
-                        );
-                        // The stall artifact chain, right next to the
-                        // flight-recorder tail the diagnosis carries:
-                        // the dumped snapshot and the commands that
-                        // restore it (replay) or finish the sweep
-                        // around it (resume).
-                        match dump_wedge(&dump_dir, &key, &wedged, seed, phases, csecs) {
-                            Ok(p) => {
-                                line.push_str(&format!(
-                                    "      stall snapshot: {}\n      replay: lrc-soak --replay {}\n",
-                                    p.display(),
-                                    p.display()
-                                ));
-                                if journal.is_some() {
-                                    line.push_str(&format!(
-                                        "      resume sweep: lrc-soak --resume {}\n",
-                                        dump_dir.display()
-                                    ));
-                                }
-                            }
-                            Err(e) => line.push_str(&format!(
-                                "      (stall snapshot not written: {e})\n"
-                            )),
-                        }
-                        CellRecord { ok: false, line, injected: 0, retries: 0 }
-                    }
+                    CellOutcome::Failed(e) => CellRecord::failed(format!(
+                        "FAIL {proto:<8} rate={rate:<7} seed={seed}: {e}\n"
+                    )),
+                    // The stall artifact chain, right next to the
+                    // flight-recorder tail the diagnosis carries.
+                    CellOutcome::Wedged(diag, wedged) => CellRecord::failed(format!(
+                        "FAIL {proto:<8} rate={rate:<7} seed={seed}: wedged at a recoverable \
+                         rate: {diag}\n{}",
+                        wedge_lines(
+                            dump_wedge(dump_dir, &key, &wedged, seed, c),
+                            journal.as_ref().map(|_| dump_dir)
+                        )
+                    )),
                 };
-                settle(rec, &key, true, &mut failures, &mut total_injected, &mut total_retries);
+                tally(settle(c, journal, &key, run));
             }
         }
     }
-
-    let ukey = "unrecoverable";
-    let resumed = if resume { journal.as_ref().and_then(|j| j.load(ukey)) } else { None };
-    let (urec, fresh) = match resumed {
-        Some(rec) => (rec, false),
-        None => (
-            match unrecoverable_stage(&cfg, phases, csecs, &dump_dir) {
-                Ok(line) => CellRecord { ok: true, line, injected: 0, retries: 0 },
-                Err(e) => CellRecord {
-                    ok: false,
-                    line: format!("FAIL unrecoverable stage: {e}\n"),
-                    injected: 0,
-                    retries: 0,
-                },
-            },
-            true,
-        ),
-    };
-    settle(urec, ukey, fresh, &mut failures, &mut total_injected, &mut total_retries);
+    tally(settle(c, journal, "unrecoverable", || match unrecoverable_stage(c, dump_dir) {
+        Ok(line) => CellRecord { ok: true, line, injected: 0, retries: 0 },
+        Err(e) => CellRecord::failed(format!("FAIL unrecoverable stage: {e}\n")),
+    }));
 
     if failures > 0 {
         eprintln!("lrc-soak: {failures}/{cells} cells FAILED");
-        std::process::exit(1);
+    } else {
+        eprintln!(
+            "lrc-soak: all {cells} cells verified ({total_injected} faults injected, \
+             {total_retries} retries, every run value-correct and reproducible)"
+        );
     }
-    eprintln!(
-        "lrc-soak: all {cells} cells verified ({total_injected} faults injected, \
-         {total_retries} retries, every run value-correct and reproducible)"
-    );
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(line: &str) -> Result<Config, CliError> {
+        config(&cli::SOAK.parse(line.split_whitespace().map(str::to_string))?.expect("no --help"))
+    }
+
+    /// The command lines `scripts/ci.sh` runs keep the values the
+    /// hand-written parser gave them.
+    #[test]
+    fn ci_command_lines_keep_their_values() {
+        let smoke = Config {
+            replay: None,
+            mode: Mode::Faults,
+            smoke: true,
+            quiet: true,
+            machine: MachineConfig::paper_default(4),
+            seeds: 1,
+            phases: 3,
+            csecs: 4,
+            rates: vec![0.0, 1e-3],
+            watchdog: 10_000_000,
+            checkpoint_dir: None,
+            resume: false,
+        };
+        let dir = std::env::temp_dir().join(format!("lrc-soak-cli-{}", std::process::id()));
+        let (d, wedge) = (dir.display(), "tests/fixtures/wedge-unrecoverable-seed1.json");
+        let journal =
+            || Config { quiet: false, checkpoint_dir: Some(dir.clone()), ..smoke.clone() };
+        let full = Config {
+            smoke: false,
+            machine: MachineConfig::paper_default(8),
+            seeds: 3,
+            phases: 6,
+            csecs: 8,
+            rates: vec![0.0, 1e-4, 1e-3],
+            ..smoke.clone()
+        };
+        for (line, want) in [
+            ("--smoke --quiet".to_string(), smoke.clone()),
+            (format!("--smoke --checkpoint-dir {d}"), journal()),
+            (format!("--smoke --resume {d}"), Config { resume: true, ..journal() }),
+            (format!("--replay {wedge} --quiet"), Config { replay: Some(wedge.into()), ..full }),
+            (
+                "--capacity-sweep --smoke --quiet".into(),
+                Config { mode: Mode::Capacity, ..smoke.clone() },
+            ),
+            ("--races --smoke --quiet".into(), Config { mode: Mode::Races, ..smoke.clone() }),
+            (
+                "--availability --smoke --quiet".into(),
+                Config { mode: Mode::Availability, rates: vec![0.0, 0.25], ..smoke.clone() },
+            ),
+        ] {
+            assert_eq!(config_of(&line), Ok(want), "{line}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -15,7 +15,7 @@ use lrc_workloads::{quality_experiment_seeded, Scale, WorkloadKind};
 use lrc_json::{json, ToJson, Value};
 
 /// Shared experiment parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
     /// Input scale for every workload.
     pub scale: Scale,

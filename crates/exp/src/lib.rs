@@ -8,7 +8,6 @@ pub mod ablate;
 pub mod experiments;
 pub mod manifest;
 pub mod paper_ref;
-pub mod paths;
 pub mod report;
 pub mod runner;
 pub mod sha;
@@ -17,11 +16,10 @@ pub mod store;
 
 pub use experiments::{run_by_id, Params, ALL_IDS};
 pub use manifest::{config_hash, resolve_timestamp, HostFacts, RunManifest};
-pub use paths::{prepare_out_dir, FlagPathError};
 pub use report::{
     metrics, paper_stats, regeneration_index_md, render_html, report_json, splice_index_md,
     ExpStats, Metric, Report, ReportMeta, Table, REPORT_SCHEMA,
 };
-pub use runner::{execute, execute_sharded, RunSpec, Runner};
+pub use runner::{execute, execute_sharded, procs_flag, RunSpec, Runner};
 pub use stats::{cohen_d, holm_adjust, paired_permutation_p, summarize, Effect, Summary};
 pub use store::{CheckFailure, IndexEntry, Store, StoreError};

@@ -1074,38 +1074,38 @@ pub fn report_json(stats: &[ExpStats], meta: &ReportMeta) -> Value {
 
 const INDEX_HEADING: &str = "## Per-experiment regeneration index";
 
-/// `(id, regenerate command, bench target)` for every artifact the repo
-/// tracks — the 18 `lrc-exp` experiments plus the bench/soak extras.
-const REGEN_ROWS: [(&str, &str, &str); 21] = [
-    ("table1", "`lrc-exp -- table1 --store results/store`", "`table1_config`"),
-    ("table2", "`lrc-exp -- table2 --scale paper --store results/store`", "`table2_classification`"),
-    ("table3", "`lrc-exp -- table3 --scale paper --store results/store`", "`table3_missrates`"),
-    ("fig4", "`lrc-exp -- fig4 --scale paper --store results/store`", "`fig4_exec_time`"),
-    ("fig5", "`lrc-exp -- fig5 --scale paper --store results/store`", "`fig5_overheads`"),
-    ("fig6", "`lrc-exp -- fig6 --scale paper --store results/store`", "`fig6_lazy_ext`"),
-    ("fig7", "`lrc-exp -- fig7 --scale paper --store results/store`", "`fig7_lazy_ext_overheads`"),
-    ("fig8", "`lrc-exp -- fig8 --scale paper --store results/store`", "`fig8_future`"),
-    ("fig9", "`lrc-exp -- fig9 --scale paper --store results/store`", "`fig9_future_overheads`"),
-    ("sweep", "`lrc-exp -- sweep --scale paper --store results/store`", "`sweep_sensitivity`"),
-    ("quality", "`lrc-exp -- quality --scale paper --store results/store`", "`quality_mp3d`"),
-    ("traffic", "`lrc-exp -- traffic --scale paper --store results/store`", "—"),
-    ("scaling", "`lrc-exp -- scaling --scale small --store results/store`", "—"),
-    ("ablate", "`lrc-exp -- ablate --scale small --procs 16 --store results/store`", "—"),
-    ("fences", "`lrc-exp -- fences --scale small --procs 16 --store results/store`", "—"),
-    ("mesh256", "`lrc-bench run --threads 1,2,4,8 --mesh256`", "—"),
-    ("capacity", "`lrc-soak --capacity-sweep`", "—"),
-    ("observe", "`lrc-exp -- observe --scale tiny --procs 8 --trace-dir DIR --store results/store`", "—"),
-    ("diverge", "`lrc-exp -- diverge --scale tiny --procs 8 --store results/store`", "—"),
-    ("avail", "`lrc-exp -- avail --scale tiny --procs 8 --store results/store`", "—"),
-    ("availability", "`lrc-soak --availability`", "—"),
+/// `(id, regenerate command)` for every artifact the repo tracks — the 18
+/// `lrc-exp` experiments plus the bench/soak extras.
+const REGEN_ROWS: [(&str, &str); 21] = [
+    ("table1", "`lrc-exp table1 --store results/store`"),
+    ("table2", "`lrc-exp table2 --scale paper --store results/store`"),
+    ("table3", "`lrc-exp table3 --scale paper --store results/store`"),
+    ("fig4", "`lrc-exp fig4 --scale paper --store results/store`"),
+    ("fig5", "`lrc-exp fig5 --scale paper --store results/store`"),
+    ("fig6", "`lrc-exp fig6 --scale paper --store results/store`"),
+    ("fig7", "`lrc-exp fig7 --scale paper --store results/store`"),
+    ("fig8", "`lrc-exp fig8 --scale paper --store results/store`"),
+    ("fig9", "`lrc-exp fig9 --scale paper --store results/store`"),
+    ("sweep", "`lrc-exp sweep --scale paper --store results/store`"),
+    ("quality", "`lrc-exp quality --scale paper --store results/store`"),
+    ("traffic", "`lrc-exp traffic --scale paper --store results/store`"),
+    ("scaling", "`lrc-exp scaling --scale small --store results/store`"),
+    ("ablate", "`lrc-exp ablate --scale small --procs 16 --store results/store`"),
+    ("fences", "`lrc-exp fences --scale small --procs 16 --store results/store`"),
+    ("mesh256", "`lrc-bench run --threads 1,2,4,8 --mesh256`"),
+    ("capacity", "`lrc-soak --capacity-sweep`"),
+    ("observe", "`lrc-exp observe --scale tiny --procs 8 --trace-dir DIR --store results/store`"),
+    ("diverge", "`lrc-exp diverge --scale tiny --procs 8 --store results/store`"),
+    ("avail", "`lrc-exp avail --scale tiny --procs 8 --store results/store`"),
+    ("availability", "`lrc-soak --availability`"),
 ];
 
 /// The regeneration-index markdown section (heading included), as emitted
 /// by `lrc-exp report --index-md`.
 pub fn regeneration_index_md() -> String {
-    let mut s = format!("{INDEX_HEADING}\n\n| id | regenerate | bench target |\n|---|---|---|\n");
-    for (id, cmd, bench) in REGEN_ROWS {
-        s.push_str(&format!("| {id} | {cmd} | {bench} |\n"));
+    let mut s = format!("{INDEX_HEADING}\n\n| id | regenerate |\n|---|---|\n");
+    for (id, cmd) in REGEN_ROWS {
+        s.push_str(&format!("| {id} | {cmd} |\n"));
     }
     s.push_str(
         "\nMulti-seed statistics: add `--seeds N` to any `lrc-exp` command to run seeds \

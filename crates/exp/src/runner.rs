@@ -3,10 +3,21 @@
 //! repeat shared combinations across experiments.
 
 use lrc_core::{Machine, RunResult};
+use lrc_sim::cli::{Args, CliError};
 use lrc_sim::{MachineConfig, Protocol};
 use lrc_workloads::{Scale, WorkloadKind};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The Table-1 machine `--procs N` names (`default` when absent), checked
+/// buildable by [`Machine::check_config`] before any work.
+pub fn procs_flag(a: &Args, default: usize) -> Result<MachineConfig, CliError> {
+    let procs = a.get("--procs", "a processor count")?.unwrap_or(default);
+    let cfg = MachineConfig::paper_default(procs);
+    let bad = |e| CliError::invalid("--procs", procs.to_string(), format!("a machine size: {e}"));
+    Machine::check_config(&cfg).map_err(bad)?;
+    Ok(cfg)
+}
 
 /// Everything identifying one simulation run.
 #[derive(Debug, Clone, PartialEq)]

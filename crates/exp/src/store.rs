@@ -51,6 +51,11 @@ pub enum StoreError {
         /// The content hash asked for.
         hash: String,
     },
+    /// A store opened for reading has no index.
+    NoIndex {
+        /// The store root.
+        path: PathBuf,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -66,6 +71,7 @@ impl std::fmt::Display for StoreError {
                 write!(f, "store index has unknown schema '{found}' (expected {STORE_SCHEMA})")
             }
             StoreError::MissingBlob { hash } => write!(f, "blob {hash} is not in the store"),
+            StoreError::NoIndex { path } => write!(f, "{} has no index.json", path.display()),
         }
     }
 }
@@ -138,6 +144,7 @@ impl std::fmt::Display for CheckFailure {
 }
 
 /// The store handle.
+#[derive(Debug, PartialEq)]
 pub struct Store {
     root: PathBuf,
 }
@@ -149,6 +156,16 @@ impl Store {
         let objects = root.join("objects");
         std::fs::create_dir_all(&objects)
             .map_err(|e| StoreError::Io { path: objects.clone(), message: e.to_string() })?;
+        Ok(Store { root })
+    }
+
+    /// Open the existing store at `root` for reading: nothing is created,
+    /// and a root without an `index.json` is [`StoreError::NoIndex`].
+    pub fn open_existing(root: impl Into<PathBuf>) -> Result<Store, StoreError> {
+        let root = root.into();
+        if !root.join("index.json").is_file() {
+            return Err(StoreError::NoIndex { path: root });
+        }
         Ok(Store { root })
     }
 

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
+pub mod cli;
 pub mod config;
 pub mod event;
 pub mod json;

@@ -14,6 +14,8 @@
 #             `cargo test -p lrc-check --release -- --ignored`
 #   bench   — build and test the benchmark package (perfbench/, its own
 #             workspace)
+#   cli     — every binary's --help exits 0 and bad input exits 2 before
+#             any work
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,29 +48,53 @@ echo "==> benchmark package: build + test perfbench/"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> bench smoke: lrc-bench compare at tiny scale"
-# Exercises the whole measure/compare path in seconds. The committed
-# baseline is scale=small, so the gate auto-skips the threshold check at
-# tiny scale — this stage verifies the harness runs end to end and emits
-# valid JSON, not throughput (wall-clock on shared runners is too noisy
-# for a hard gate in CI; re-baseline locally with `lrc-bench run`).
-cargo build --release -q -p lrc-exp
-smoke=$(mktemp /tmp/bench_smoke.XXXXXX.json)
-./target/release/lrc-bench compare --baseline BENCH_sim.json \
-  --scale tiny --procs 16 --reps 1 --quiet --out "$smoke"
-grep -q '"schema": "lrc-bench-v1"' "$smoke"
-rm -f "$smoke"
+echo "==> cli contract: --help exits 0, bad input exits 2 before any work"
+# Every binary parses its whole command line (through lrc_sim::cli) before
+# it simulates, explores or writes anything: --help exits 0, and a bad flag
+# or value exits 2 at once with one error line naming the flag — no
+# panic, no backtrace, nothing on stdout.
+for bin in lrc-check lrc-exp lrc-bench lrc-soak; do
+  "./target/release/$bin" --help > /dev/null
+done
+clierr=$(mktemp /tmp/cli_contract.XXXXXX.err)
+while read -r -a cmd; do
+  code=0
+  out=$(timeout 1 "./target/release/${cmd[0]}" "${cmd[@]:1}" < /dev/null 2> "$clierr") || code=$?
+  if [ "$code" -ne 2 ] || [ -n "$out" ] || grep -q panicked "$clierr" \
+      || [ "$(wc -l < "$clierr")" -ne 1 ]; then
+    echo "cli contract broken (exit $code): ${cmd[*]}" >&2
+    cat "$clierr" >&2
+    exit 1
+  fi
+done <<'EOF_CLI'
+lrc-exp fig4 --procs abc
+lrc-exp table1 --seeds abc
+lrc-exp table1 --threads x
+lrc-exp table1 --verbose
+lrc-exp fig4 --procs 0
+lrc-exp fig4 --procs 300
+lrc-exp report --store /tmp/lrc-cli-contract-missing-store --check
+lrc-soak --smoke --procs 0
+lrc-soak --smoke --seeds 0
+lrc-soak --smoke --rates 2.0
+lrc-check --scenario counter --crash-nth 3 --crash-node 99
+lrc-bench run --threads 0
+EOF_CLI
+[ ! -e /tmp/lrc-cli-contract-missing-store ]
+rm -f "$clierr"
 
 echo "==> parallel smoke: sharded engine vs sequential at tiny scale"
 # The sharded engine's contract is bit-identity, so the smoke check IS a
 # fingerprint cross-check: a threaded tiny-scale sweep (threads=1,2) whose
 # per-combo simulated cycle counts the harness asserts identical across
-# thread counts, plus the cross-protocol equivalence suite (full-statistics
+# thread counts (and whose report must carry the lrc-bench-v1 schema),
+# plus the cross-protocol equivalence suite (full-statistics
 # fingerprints at 2/4/8 threads, adversarial strided partition, fault-plan
 # fallback, wedged-shard stall diagnosis).
 psmoke=$(mktemp /tmp/parallel_smoke.XXXXXX.json)
 ./target/release/lrc-bench run --scale tiny --procs 16 --reps 1 \
   --threads 1,2 --quiet --out "$psmoke"
+grep -q '"schema": "lrc-bench-v1"' "$psmoke"
 grep -q '"thread_sweep"' "$psmoke"
 rm -f "$psmoke"
 cargo test -q --test parallel_equiv

@@ -181,13 +181,13 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
 
     let mut found = None;
     for n in 1..=80u64 {
-        let opts = BuildOpts { races: false, crash_nth: Some((victim, n)) };
+        let opts = BuildOpts { crash_nth: Some((victim, n)), ..BuildOpts::default() };
         let outcome = lrc_check::check_and_minimize_opts(
             &s,
             Protocol::Lrc,
             Fault::SkipLockReclaim,
             limits,
-            opts,
+            opts.clone(),
         );
         if !outcome.passed() {
             found = Some((n, opts, outcome));
@@ -221,7 +221,7 @@ fn checker_minimizes_a_crash_recovery_counterexample() {
         Protocol::Lrc,
         Fault::None,
         limits,
-        BuildOpts { races: false, crash_nth: Some((victim, n)) },
+        BuildOpts { crash_nth: Some((victim, n)), ..BuildOpts::default() },
     );
     assert!(
         clean.passed(),
