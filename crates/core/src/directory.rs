@@ -434,6 +434,21 @@ impl DirEntry {
         self.sharers & !self.notified & !NodeSet::one(node)
     }
 
+    /// Targets of the write notices `node`'s access to a weak block sends:
+    /// the sharers not yet told, or — once limited pointers overflowed and
+    /// membership is imprecise — every node of `all` not yet told. Marks
+    /// `node` and the targeted sharers notified.
+    pub fn weak_notice_targets(&mut self, node: NodeId, all: NodeSet) -> NodeSet {
+        let targets = if self.overflow {
+            all & !NodeSet::one(node) & !self.notified
+        } else {
+            self.unnotified_others(node)
+        };
+        self.notified |= targets & self.sharers;
+        self.mark_notified(node);
+        targets
+    }
+
     /// Structural invariants (debug builds).
     #[inline]
     fn check(&self) {

@@ -60,18 +60,7 @@ impl Machine {
                 let e = self.dir.entry_or_default(line.0);
                 e.add_sharer(r);
                 if e.state() == DirState::Weak {
-                    let targets = if e.overflow {
-                        // Limited pointers overflowed: broadcast to every
-                        // node we have not (knowingly) notified.
-                        all & !NodeSet::one(r) & !e.notified()
-                    } else {
-                        e.unnotified_others(r)
-                    };
-                    for n in nodes_in(targets & e.sharers()) {
-                        e.mark_notified(n);
-                    }
-                    e.mark_notified(r);
-                    (true, targets)
+                    (true, e.weak_notice_targets(r, all))
                 } else {
                     (false, NodeSet::EMPTY)
                 }
@@ -296,16 +285,7 @@ impl Machine {
             let r_has_copy = had_copy && e.is_sharer(r);
             e.add_writer(r);
             if e.state() == DirState::Weak {
-                let targets = if e.overflow {
-                    all & !NodeSet::one(r) & !e.notified()
-                } else {
-                    e.unnotified_others(r)
-                };
-                for n in nodes_in(targets & e.sharers()) {
-                    e.mark_notified(n);
-                }
-                e.mark_notified(r);
-                (true, !r_has_copy, targets, e.pending.is_some())
+                (true, !r_has_copy, e.weak_notice_targets(r, all), e.pending.is_some())
             } else {
                 (false, !r_has_copy, NodeSet::EMPTY, false)
             }

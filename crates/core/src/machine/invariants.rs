@@ -18,7 +18,9 @@
 //!   sharer set (again modulo in-flight transactions and, for the lazy
 //!   protocols, copies whose invalidation is pending at an acquire);
 //! * cache geometry: no set exceeds its associativity (checked structurally
-//!   by `lrc-mem`, re-asserted here end-to-end).
+//!   by `lrc-mem`, re-asserted here end-to-end);
+//! * a buffer a protocol never fills is empty (the fence, release flush and
+//!   eviction read every buffer without asking which protocol runs).
 //!
 //! The sweep is O(machine size) and intended for tests — the protocol test
 //! suite runs every scripted scenario and the tiny application suite with
@@ -95,6 +97,13 @@ pub enum Violation {
         /// The configured capacity.
         cap: usize,
     },
+    /// A node holds state in a buffer its protocol never fills.
+    ForeignBufferState {
+        /// The offending processor.
+        proc: usize,
+        /// The buffer that should be empty.
+        buffer: &'static str,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -125,6 +134,9 @@ impl std::fmt::Display for Violation {
             ),
             Violation::WriteNoticeOverCap { proc, pending, cap } => {
                 write!(f, "P{proc}: {pending} pending inval(s) exceed the {cap}-entry buffer")
+            }
+            Violation::ForeignBufferState { proc, buffer } => {
+                write!(f, "P{proc}: {buffer} is in use under a protocol that never fills it")
             }
         }
     }
@@ -161,6 +173,7 @@ impl Machine {
         // collection or 3-hop forward in progress, which implies
         // invalidations may still be in transit) — are legitimately in a
         // transient state and skipped.
+        let lazy = self.protocol.is_lazy();
         let mut multi_writer_seen: Vec<u64> = Vec::new();
         for (p, node) in self.nodes.iter().enumerate() {
             for line in node.cache.iter() {
@@ -171,7 +184,7 @@ impl Machine {
                 if entry.is_some_and(|e| e.pending.is_some() || e.busy) {
                     continue;
                 }
-                if !self.protocol.is_lazy() {
+                if !lazy {
                     // Eager protocols: every cached copy is directory-known,
                     // and a writable copy is exclusive.
                     if !entry.is_some_and(|e| e.is_sharer(p)) {
@@ -215,9 +228,20 @@ impl Machine {
             }
         }
 
-        // Finite write-notice buffers: the overflow collapse must leave the
+        // No node holds state in a buffer its protocol never fills. Finite
+        // write-notice buffers: the overflow collapse must leave the
         // precise set empty, and an enforced cap is never exceeded.
+        let ext = self.protocol.defers_notices();
         for (p, node) in self.nodes.iter().enumerate() {
+            let foreign = [
+                (!lazy && !node.cb.is_empty(), "coalescing buffer"),
+                (!lazy && node.wt_unacked != 0, "write-through ack count"),
+                (!lazy && (node.inval_all || !node.pending_invals.is_empty()), "pending invals"),
+                (!ext && !node.delayed_writes.is_empty(), "delayed-write table"),
+            ];
+            for (_, buffer) in foreign.into_iter().filter(|&(bad, _)| bad) {
+                out.push(Violation::ForeignBufferState { proc: p, buffer });
+            }
             if node.inval_all && !node.pending_invals.is_empty() {
                 out.push(Violation::OverflowResidue { proc: p, pending: node.pending_invals.len() });
             }
@@ -262,5 +286,22 @@ impl Machine {
             })
             .map(|(p, _)| p)
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lrc_sim::{MachineConfig, Protocol};
+
+    #[test]
+    fn coalescing_buffer_entry_under_eager_is_a_violation() {
+        let mut m = Machine::new(MachineConfig::paper_default(4), Protocol::Erc);
+        assert!(m.check_violations().is_empty());
+        m.nodes[2].cb.push(LineAddr(7), 0);
+        assert_eq!(
+            m.check_violations(),
+            vec![Violation::ForeignBufferState { proc: 2, buffer: "coalescing buffer" }]
+        );
     }
 }

@@ -52,7 +52,7 @@ impl Machine {
         } else {
             self.install_line(p, fill_done, line, LineState::ReadOnly);
         }
-        if weak && self.protocol.is_lazy() {
+        if weak {
             self.queue_pending_inval(p, line);
         }
         self.complete_data_leg(p, fill_done, line);
@@ -76,7 +76,7 @@ impl Machine {
         } else {
             t
         };
-        if weak && self.protocol.is_lazy() && self.nodes[p].cache.contains(line) {
+        if weak && self.nodes[p].cache.contains(line) {
             self.queue_pending_inval(p, line);
         }
         if grant == WriteGrant::Pending {

@@ -5,7 +5,7 @@ use super::{Event, Machine};
 use crate::msg::MsgKind;
 use crate::node::{PendingSync, ProcStatus};
 use lrc_mem::{CbPush, Eviction, LineState, WbPush};
-use lrc_sim::{Cycle, LineAddr, Op, ProcId, Protocol, StallKind};
+use lrc_sim::{Cycle, LineAddr, Op, ProcId, StallKind};
 
 impl Machine {
     /// Let processor `p` issue operations starting at time `t`, until it
@@ -120,41 +120,8 @@ impl Machine {
     fn issue_write(&mut self, p: ProcId, now: Cycle, a: u64) -> WriteIssue {
         let line = self.line_of(a);
         let word = self.word_of(a);
-
-        if self.protocol == Protocol::Sc {
-            self.stats.procs[p].writes += 1;
-            self.stats.procs[p].refs += 1;
-            if let Some(c) = self.classifier.as_mut() {
-                c.record_write(p, line, word);
-            }
-            self.note_write(p, line, word);
-            self.note_race_write(p, a);
-            // Single-probe hit check: a read-write hit is touched and
-            // dirtied in place; any other state starts a transaction.
-            let st = self.nodes[p].cache.write_probe(line, word);
-            if st == LineState::ReadWrite {
-                return WriteIssue::Issued;
-            }
-            // Blocking write transaction.
-            let upgrade = st == LineState::ReadOnly;
-            if upgrade {
-                self.stats.procs[p].upgrades += 1;
-            } else {
-                self.stats.procs[p].write_misses += 1;
-            }
-            self.classify(p, line, word, upgrade);
-            let home = self.home_of_touch(line, p);
-            let o = self.nodes[p].outstanding.entry(line.0).or_default();
-            o.waiting_data = true;
-            o.resume_proc = true;
-            o.apply_words |= 1 << word;
-            self.send(now, p, home, MsgKind::WriteReq { line, had_copy: upgrade, words: 0 });
-            self.block(p, now, StallKind::Write, ProcStatus::StalledWrite(line));
-            return WriteIssue::BlockedDone;
-        }
-
-        // Relaxed protocols: writes go through the write buffer.
-        if self.nodes[p].wb.is_full() && !self.nodes[p].wb.matches(line) {
+        let buffered = !self.protocol.stalls_on_write();
+        if buffered && self.nodes[p].wb.is_full() && !self.nodes[p].wb.matches(line) {
             self.block(p, now, StallKind::Write, ProcStatus::StalledWriteFull);
             return WriteIssue::BlockedRetry;
         }
@@ -165,10 +132,34 @@ impl Machine {
         }
         self.note_write(p, line, word);
         self.note_race_write(p, a);
-        let outcome = self.nodes[p].wb.push(line, word);
-        debug_assert!(outcome != WbPush::Full);
-        self.pump_write_buffer(p, now);
-        WriteIssue::Issued
+        if buffered {
+            let outcome = self.nodes[p].wb.push(line, word);
+            debug_assert!(outcome != WbPush::Full);
+            self.pump_write_buffer(p, now);
+            return WriteIssue::Issued;
+        }
+
+        // Single-probe hit check: a read-write hit is touched and dirtied in
+        // place; any other state starts a blocking write transaction.
+        let st = self.nodes[p].cache.write_probe(line, word);
+        if st == LineState::ReadWrite {
+            return WriteIssue::Issued;
+        }
+        let upgrade = st == LineState::ReadOnly;
+        if upgrade {
+            self.stats.procs[p].upgrades += 1;
+        } else {
+            self.stats.procs[p].write_misses += 1;
+        }
+        self.classify(p, line, word, upgrade);
+        let home = self.home_of_touch(line, p);
+        let o = self.nodes[p].outstanding.entry(line.0).or_default();
+        o.waiting_data = true;
+        o.resume_proc = true;
+        o.apply_words |= 1 << word;
+        self.send(now, p, home, MsgKind::WriteReq { line, had_copy: upgrade, words: 0 });
+        self.block(p, now, StallKind::Write, ProcStatus::StalledWrite(line));
+        WriteIssue::BlockedDone
     }
 
     /// Start coherence actions for buffered writes that have none in flight,
@@ -188,69 +179,47 @@ impl Machine {
             let word = words.trailing_zeros() as usize;
             let st = self.nodes[p].cache.state(line);
             let home = self.home_of_touch(line, p);
-            match (self.protocol, st) {
+            match st {
                 // Write hit on a writable line: nothing to do.
-                (_, LineState::ReadWrite) => {
+                LineState::ReadWrite => {
                     self.nodes[p].wb.entry_mut(idx).ready = true;
                 }
-                (Protocol::Sc, _) => unreachable!("SC does not use the write buffer"),
-
-                // Eager RC: request ownership; the entry retires when the
-                // grant (and data, on a full miss) arrives. Invalidation
-                // acks complete in the background.
-                (Protocol::Erc, LineState::ReadOnly) => {
+                LineState::ReadOnly => {
                     self.stats.procs[p].upgrades += 1;
                     self.classify(p, line, word, true);
-                    let o = self.nodes[p].outstanding.entry(line.0).or_default();
-                    o.waiting_data = true;
-                    o.retire_wb = true;
-                    self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words: 0 });
+                    let lazy = self.protocol.is_lazy();
+                    if lazy {
+                        // Retire immediately — the paper's key
+                        // write-after-read optimization (no wait for the
+                        // home when the line is already cached read-only).
+                        self.nodes[p].cache.upgrade(line);
+                        self.nodes[p].wb.entry_mut(idx).ready = true;
+                    }
+                    // Eager RC waits for the ownership grant (invalidation
+                    // acks complete in the background); lazy waits only for
+                    // the WriteReply itself; lazy-ext defers even the
+                    // announcement to its release.
+                    if !self.protocol.defers_notices() {
+                        let o = self.nodes[p].outstanding.entry(line.0).or_default();
+                        o.waiting_data = true;
+                        o.retire_wb |= !lazy;
+                        self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words: 0 });
+                    }
                 }
-                (Protocol::Erc, LineState::Invalid) => {
+                LineState::Invalid => {
                     self.stats.procs[p].write_misses += 1;
                     self.classify(p, line, word, false);
                     let o = self.nodes[p].outstanding.entry(line.0).or_default();
                     o.waiting_data = true;
                     o.retire_wb = true;
-                    self.send(now, p, home, MsgKind::WriteReq { line, had_copy: false, words: 0 });
-                }
-
-                // Lazy RC: announce the write but retire immediately — the
-                // paper's key write-after-read optimization (no wait for the
-                // home when the line is already cached read-only).
-                (Protocol::Lrc, LineState::ReadOnly) => {
-                    self.stats.procs[p].upgrades += 1;
-                    self.classify(p, line, word, true);
-                    self.nodes[p].cache.upgrade(line);
-                    let o = self.nodes[p].outstanding.entry(line.0).or_default();
-                    o.waiting_data = true; // the WriteReply itself
-                    self.nodes[p].wb.entry_mut(idx).ready = true;
-                    self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words: 0 });
-                }
-                (Protocol::Lrc, LineState::Invalid) => {
-                    self.stats.procs[p].write_misses += 1;
-                    self.classify(p, line, word, false);
-                    let o = self.nodes[p].outstanding.entry(line.0).or_default();
-                    o.waiting_data = true;
-                    o.retire_wb = true;
-                    self.send(now, p, home, MsgKind::WriteReq { line, had_copy: false, words: 0 });
-                }
-
-                // Lazy-ext: defer even the write announcement; only a full
-                // miss talks to the home (a plain data fetch).
-                (Protocol::LrcExt, LineState::ReadOnly) => {
-                    self.stats.procs[p].upgrades += 1;
-                    self.classify(p, line, word, true);
-                    self.nodes[p].cache.upgrade(line);
-                    self.nodes[p].wb.entry_mut(idx).ready = true;
-                }
-                (Protocol::LrcExt, LineState::Invalid) => {
-                    self.stats.procs[p].write_misses += 1;
-                    self.classify(p, line, word, false);
-                    let o = self.nodes[p].outstanding.entry(line.0).or_default();
-                    o.waiting_data = true;
-                    o.retire_wb = true;
-                    self.send(now, p, home, MsgKind::ReadReq { line });
+                    // Lazy-ext's full miss is a plain data fetch: its write
+                    // notice waits for the release.
+                    let kind = if self.protocol.defers_notices() {
+                        MsgKind::ReadReq { line }
+                    } else {
+                        MsgKind::WriteReq { line, had_copy: false, words: 0 }
+                    };
+                    self.send(now, p, home, kind);
                 }
             }
         }
@@ -295,23 +264,19 @@ impl Machine {
             self.install_line(p, now, line, LineState::ReadWrite);
             self.nodes[p].cache.mark_dirty_words(line, words);
         }
-        match self.protocol {
-            Protocol::Lrc => {
-                match self.nodes[p].cb.push_words(line, words) {
-                    CbPush::Merged => {}
-                    CbPush::Allocated => {
-                        self.push_ev(now + self.cfg.cb_flush_delay, p, Event::CbFlush(p, line));
-                    }
-                    CbPush::Displaced(v) => {
-                        self.send_write_through(p, now, v.line, v.words);
-                        self.push_ev(now + self.cfg.cb_flush_delay, p, Event::CbFlush(p, line));
-                    }
+        if self.protocol.defers_notices() {
+            *self.nodes[p].delayed_writes.entry(line.0).or_insert(0) |= words;
+        } else if self.protocol.is_lazy() {
+            match self.nodes[p].cb.push_words(line, words) {
+                CbPush::Merged => {}
+                CbPush::Allocated => {
+                    self.push_ev(now + self.cfg.cb_flush_delay, p, Event::CbFlush(p, line));
+                }
+                CbPush::Displaced(v) => {
+                    self.send_write_through(p, now, v.line, v.words);
+                    self.push_ev(now + self.cfg.cb_flush_delay, p, Event::CbFlush(p, line));
                 }
             }
-            Protocol::LrcExt => {
-                *self.nodes[p].delayed_writes.entry(line.0).or_insert(0) |= words;
-            }
-            _ => {}
         }
     }
 
@@ -346,9 +311,10 @@ impl Machine {
         }
     }
 
-    /// Capacity/conflict eviction side effects: write-backs (eager),
-    /// coalescing-buffer flushes and deferred-notice flushes (lazy), and the
-    /// home-node notification the lazy directory requires.
+    /// Capacity/conflict eviction side effects: the line's coalescing-buffer
+    /// entry and deferred write notice go out first, then a write-back
+    /// (eager write-back caches, dirty line) or the replacement hint the
+    /// directory needs.
     pub(crate) fn handle_eviction(&mut self, p: ProcId, now: Cycle, ev: Eviction) {
         let line = ev.line;
         if let Some(c) = self.classifier.as_mut() {
@@ -356,36 +322,34 @@ impl Machine {
         }
         // A dropped line needs no invalidation at the next acquire.
         self.nodes[p].pending_invals.remove(&line.0);
+        if let Some(e) = self.nodes[p].cb.take(line) {
+            self.send_write_through(p, now, e.line, e.words);
+        }
+        // Replacement forces the deferred write notice out now (this is
+        // what bounds the delayed-write table by the cache size, as the
+        // paper notes).
+        self.flush_deferred_notice(p, now, line);
         let home = self.home_of(line);
         let was_writer = ev.state == LineState::ReadWrite;
-        match self.protocol {
-            Protocol::Sc | Protocol::Erc => {
-                if was_writer && ev.dirty_words != 0 {
-                    self.note_flush(p, line, ev.dirty_words);
-                    self.nodes[p].wbk_unacked += 1;
-                    self.send(now, p, home, MsgKind::WriteBack { line, words: ev.dirty_words });
-                } else {
-                    self.send(now, p, home, MsgKind::EvictNotify { line, was_writer });
-                }
-            }
-            Protocol::Lrc => {
-                if let Some(e) = self.nodes[p].cb.take(line) {
-                    self.send_write_through(p, now, e.line, e.words);
-                }
-                self.send(now, p, home, MsgKind::EvictNotify { line, was_writer });
-            }
-            Protocol::LrcExt => {
-                if let Some(words) = self.nodes[p].delayed_writes.remove(&line.0) {
-                    // Replacement forces the deferred write notice out now
-                    // (this is what bounds the delayed-write table by the
-                    // cache size, as the paper notes).
-                    self.note_flush(p, line, words);
-                    let o = self.nodes[p].outstanding.entry(line.0).or_default();
-                    o.waiting_data = true;
-                    self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words });
-                }
-                self.send(now, p, home, MsgKind::EvictNotify { line, was_writer });
-            }
+        // Lazy caches write through: their dirty words already went home.
+        if was_writer && ev.dirty_words != 0 && !self.protocol.is_lazy() {
+            self.note_flush(p, line, ev.dirty_words);
+            self.nodes[p].wbk_unacked += 1;
+            self.send(now, p, home, MsgKind::WriteBack { line, words: ev.dirty_words });
+        } else {
+            self.send(now, p, home, MsgKind::EvictNotify { line, was_writer });
+        }
+    }
+
+    /// Send lazy-ext's deferred write notice for `line`, if one is held:
+    /// a `WriteReq` carrying the written words, which completes like any
+    /// other transaction.
+    pub(crate) fn flush_deferred_notice(&mut self, p: ProcId, now: Cycle, line: LineAddr) {
+        if let Some(words) = self.nodes[p].delayed_writes.remove(&line.0) {
+            self.note_flush(p, line, words);
+            self.nodes[p].outstanding.entry(line.0).or_default().waiting_data = true;
+            let home = self.home_of(line);
+            self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words });
         }
     }
 

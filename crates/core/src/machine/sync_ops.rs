@@ -1,19 +1,22 @@
 //! Acquire, release, barrier, and fence semantics, plus the lock/barrier
 //! message services.
 //!
-//! This is where the protocols differ most visibly:
+//! Each protocol difference here is one capability of [`lrc_sim::Protocol`]
+//! (DESIGN.md §2.4):
 //!
-//! * **SC** — locks and barriers are plain message round-trips; every access
-//!   is already globally performed, so releases need no fence.
-//! * **ERC** — a release stalls until the write buffer drains and every
-//!   outstanding coherence transaction (including invalidation acks) has
-//!   completed. Acquires are plain.
-//! * **LRC / LRC-EXT** — releases additionally flush the coalescing buffer
-//!   (and, for LRC-EXT, the deferred write notices) and await their acks.
-//!   Acquires invalidate every line named by a buffered write notice; the
-//!   paper hides much of that latency under the lock-grant wait, which we
-//!   model by starting invalidations at acquire-issue time and finishing
-//!   any new arrivals after the grant.
+//! * **Release.** A protocol that `stalls_on_write` (SC) has globally
+//!   performed every access already, so its release needs no fence.
+//!   Every other release first flushes the coalescing buffer and the
+//!   deferred write notices — buffers only the lazy protocols (and, for
+//!   the notices, only the one that `defers_notices`) ever fill — and then
+//!   stalls until [`crate::node::Node::fence_clear`]: write buffer drained,
+//!   every outstanding transaction (invalidation acks included) complete,
+//!   every write-back/-through acknowledged.
+//! * **Acquire.** Under `is_lazy` an acquire invalidates every line named
+//!   by a buffered write notice; the paper hides much of that latency under
+//!   the lock-grant wait, which we model by starting invalidations at
+//!   acquire-issue time and finishing any new arrivals after the grant.
+//!   Otherwise an acquire is a plain message round-trip.
 
 use super::Machine;
 use crate::msg::{Msg, MsgKind};
@@ -41,69 +44,63 @@ impl Machine {
     /// Begin a release (lock release or barrier arrival). Returns
     /// `Some(resume_time)` if the processor can continue immediately (lock
     /// release with an already-clear fence); `None` if it blocked.
-    pub(crate) fn begin_release(
-        &mut self,
-        p: ProcId,
-        now: Cycle,
-        pending: PendingSync,
-    ) -> Option<Cycle> {
+    pub(crate) fn begin_release(&mut self, p: ProcId, now: Cycle, pending: PendingSync) -> Option<Cycle> {
         self.flush_release_buffers(p, now);
-
-        let fence_ok =
-            self.protocol == lrc_sim::Protocol::Sc || self.nodes[p].fence_clear(self.protocol);
-        if fence_ok {
-            match pending {
-                PendingSync::LockRelease(lock) => {
-                    let home = self.cfg.lock_home(lock);
-                    self.send(now, p, home, MsgKind::LockRel { lock });
-                    self.note_race_release(p, lock);
-                    if self.obs.is_some() {
-                        self.obs_sync(now, p, SyncOp::Release, lock as u64);
-                    }
-                    self.stats.procs[p].breakdown.add(StallKind::Cpu, 1);
-                    Some(now + 1)
-                }
-                PendingSync::Barrier(bar) => {
-                    let home = self.cfg.barrier_home(bar);
-                    self.send(now, p, home, MsgKind::BarrierArrive { bar });
-                    self.note_race_barrier_arrive(p, bar);
-                    if self.obs.is_some() {
-                        self.obs_sync(now, p, SyncOp::BarrierArrive, bar as u64);
-                    }
-                    self.block(p, now, StallKind::Sync, ProcStatus::InBarrier(bar));
-                    None
-                }
-            }
-        } else {
+        // Blocking writes have already performed: SC releases need no fence.
+        if !(self.protocol.stalls_on_write() || self.nodes[p].fence_clear()) {
             self.block(p, now, StallKind::Sync, ProcStatus::Releasing(pending));
-            None
+            return None;
+        }
+        self.send_release(p, now, pending);
+        match pending {
+            PendingSync::LockRelease(_) => {
+                self.stats.procs[p].breakdown.add(StallKind::Cpu, 1);
+                Some(now + 1)
+            }
+            PendingSync::Barrier(bar) => {
+                self.block(p, now, StallKind::Sync, ProcStatus::InBarrier(bar));
+                None
+            }
         }
     }
 
-    /// Flush everything a release must push out: the lazy-ext deferred
-    /// write notices (the protocol's defining cost) and the coalescing
-    /// buffer. Also invoked while blocked in `Releasing`, because a write
-    /// that retires *after* the release began still lands in these buffers.
-    fn flush_release_buffers(&mut self, p: ProcId, now: Cycle) {
-        if self.protocol == lrc_sim::Protocol::LrcExt {
-            // Ascending line order: the flush sends messages, and message
-            // order is part of the simulator's deterministic behavior.
-            let mut delayed: Vec<(u64, u64)> = self.nodes[p].delayed_writes.drain().collect();
-            delayed.sort_unstable_by_key(|&(l, _)| l);
-            for (l0, words) in delayed {
-                let line = LineAddr(l0);
-                self.note_flush(p, line, words);
-                let o = self.nodes[p].outstanding.entry(l0).or_default();
-                o.waiting_data = true;
-                let home = self.home_of(line);
-                self.send(now, p, home, MsgKind::WriteReq { line, had_copy: true, words });
+    /// The release itself, once the fence is clear: the lock release or
+    /// barrier arrival message, with its race-detector edge and trace event.
+    fn send_release(&mut self, p: ProcId, t: Cycle, pending: PendingSync) {
+        match pending {
+            PendingSync::LockRelease(lock) => {
+                let home = self.cfg.lock_home(lock);
+                self.send(t, p, home, MsgKind::LockRel { lock });
+                self.note_race_release(p, lock);
+                if self.obs.is_some() {
+                    self.obs_sync(t, p, SyncOp::Release, lock as u64);
+                }
+            }
+            PendingSync::Barrier(bar) => {
+                let home = self.cfg.barrier_home(bar);
+                self.send(t, p, home, MsgKind::BarrierArrive { bar });
+                self.note_race_barrier_arrive(p, bar);
+                if self.obs.is_some() {
+                    self.obs_sync(t, p, SyncOp::BarrierArrive, bar as u64);
+                }
             }
         }
-        if self.protocol.is_lazy() {
-            let entries = self.nodes[p].cb.drain_all();
-            for e in entries {
-                self.send_write_through(p, now, e.line, e.words);
-            }
+    }
+
+    /// Flush everything a release must push out: the deferred write
+    /// notices (lazy-ext's defining cost) and the coalescing buffer. Also
+    /// invoked while blocked in `Releasing`, because a write that retires
+    /// *after* the release began still lands in these buffers.
+    fn flush_release_buffers(&mut self, p: ProcId, now: Cycle) {
+        // Ascending line order: the flush sends messages, and message order
+        // is part of the simulator's deterministic behavior.
+        let mut lines: Vec<u64> = self.nodes[p].delayed_writes.keys().copied().collect();
+        lines.sort_unstable();
+        for l0 in lines {
+            self.flush_deferred_notice(p, now, LineAddr(l0));
+        }
+        for e in self.nodes[p].cb.drain_all() {
+            self.send_write_through(p, now, e.line, e.words);
         }
     }
 
@@ -114,39 +111,22 @@ impl Machine {
             return;
         };
         self.flush_release_buffers(p, t);
-        if !self.nodes[p].fence_clear(self.protocol) {
+        if !self.nodes[p].fence_clear() {
             return;
         }
+        self.send_release(p, t, pending);
         match pending {
-            PendingSync::LockRelease(lock) => {
-                let home = self.cfg.lock_home(lock);
-                self.send(t, p, home, MsgKind::LockRel { lock });
-                self.note_race_release(p, lock);
-                if self.obs.is_some() {
-                    self.obs_sync(t, p, SyncOp::Release, lock as u64);
-                }
-                self.resume(p, t);
-            }
-            PendingSync::Barrier(bar) => {
-                let home = self.cfg.barrier_home(bar);
-                self.send(t, p, home, MsgKind::BarrierArrive { bar });
-                self.note_race_barrier_arrive(p, bar);
-                if self.obs.is_some() {
-                    self.obs_sync(t, p, SyncOp::BarrierArrive, bar as u64);
-                }
-                // The sync stall continues until the barrier releases.
-                self.nodes[p].status = ProcStatus::InBarrier(bar);
-            }
+            PendingSync::LockRelease(_) => self.resume(p, t),
+            // The sync stall continues until the barrier releases.
+            PendingSync::Barrier(bar) => self.nodes[p].status = ProcStatus::InBarrier(bar),
         }
     }
 
     /// Fence op: force pending invalidations to be applied immediately (the
     /// paper's suggestion for programs with data races). Blocking; counts
-    /// as synchronization time. No-op for the eager protocols.
+    /// as synchronization time. A no-op for the eager protocols, which
+    /// never queue an invalidation.
     pub(crate) fn do_fence(&mut self, p: ProcId, now: Cycle) -> Cycle {
-        if !self.protocol.is_lazy() {
-            return now;
-        }
         let done = self.process_pending_invals(p, now);
         self.stats.procs[p].breakdown.add(StallKind::Sync, done - now);
         done
@@ -227,9 +207,7 @@ impl Machine {
         let mut lines = std::mem::take(&mut self.inval_scratch);
         lines.extend(self.nodes[p].cache.iter().map(|r| r.line.0));
         lines.extend(self.nodes[p].cb.iter().map(|e| e.line.0));
-        if self.protocol == lrc_sim::Protocol::LrcExt {
-            lines.extend(self.nodes[p].delayed_writes.keys().copied());
-        }
+        lines.extend(self.nodes[p].delayed_writes.keys().copied());
         lines.sort_unstable();
         lines.dedup();
         self.stats.resources.overflow_invalidations += lines.len() as u64;
@@ -253,15 +231,7 @@ impl Machine {
         if let Some(e) = self.nodes[p].cb.take(line) {
             self.send_write_through(p, done, e.line, e.words);
         }
-        if self.protocol == lrc_sim::Protocol::LrcExt {
-            if let Some(words) = self.nodes[p].delayed_writes.remove(&l0) {
-                self.note_flush(p, line, words);
-                let o = self.nodes[p].outstanding.entry(l0).or_default();
-                o.waiting_data = true;
-                let home = self.home_of(line);
-                self.send(done, p, home, MsgKind::WriteReq { line, had_copy: true, words });
-            }
-        }
+        self.flush_deferred_notice(p, done, line);
         if let Some(ev) = self.nodes[p].cache.invalidate(line) {
             if let Some(c) = self.classifier.as_mut() {
                 c.on_invalidate(p, line);

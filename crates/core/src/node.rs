@@ -6,8 +6,7 @@ use crate::sync::{BarrierManager, LockManager};
 use lrc_json::{json_enum, json_struct, Dec, InPlace, Pairs, Plain, Row, Rows, Seq};
 use lrc_mem::{Bus, Cache, CoalescingBuffer, MemoryModule, TimedResource, WriteBuffer};
 use lrc_sim::{
-    BarrierId, Cycle, FxHashMap, FxHashSet, LineAddr, LockId, MachineConfig, Op, Protocol,
-    StallKind,
+    BarrierId, Cycle, FxHashMap, FxHashSet, LineAddr, LockId, MachineConfig, Op, StallKind,
 };
 
 /// Why a processor is not currently issuing operations.
@@ -224,14 +223,16 @@ impl Node {
     /// The release fence condition: every prior write has globally
     /// performed. Exactly the paper's three conditions — write buffer
     /// flushed, outstanding transactions serviced, write-backs/-throughs
-    /// acknowledged.
-    pub fn fence_clear(&self, protocol: Protocol) -> bool {
-        let buffers = self.wb.is_empty()
+    /// acknowledged — plus the lazy protocols' coalescing buffer and
+    /// deferred notices. A protocol that never fills a buffer passes its
+    /// check for free (`Machine::check_violations` pins that).
+    pub fn fence_clear(&self) -> bool {
+        self.wb.is_empty()
             && self.outstanding.is_empty()
-            && self.wbk_unacked == 0;
-        let lazy = !protocol.is_lazy() || (self.cb.is_empty() && self.wt_unacked == 0);
-        let ext = protocol != Protocol::LrcExt || self.delayed_writes.is_empty();
-        buffers && lazy && ext
+            && self.wbk_unacked == 0
+            && self.cb.is_empty()
+            && self.wt_unacked == 0
+            && self.delayed_writes.is_empty()
     }
 }
 
@@ -245,44 +246,25 @@ mod tests {
 
     #[test]
     fn fresh_node_fence_is_clear() {
-        let n = node();
-        for p in Protocol::ALL {
-            assert!(n.fence_clear(p), "{p}");
+        assert!(node().fence_clear());
+    }
+
+    #[test]
+    fn every_pending_write_blocks_the_fence() {
+        type Fill = fn(&mut Node);
+        let fills: [(&str, Fill); 6] = [
+            ("write buffer", |n| _ = n.wb.push(LineAddr(1), 0)),
+            ("outstanding", |n| _ = n.outstanding.insert(3, Outstanding::default())),
+            ("write-back ack", |n| n.wbk_unacked = 1),
+            ("coalescing buffer", |n| _ = n.cb.push(LineAddr(1), 0)),
+            ("write-through ack", |n| n.wt_unacked = 1),
+            ("delayed write", |n| _ = n.delayed_writes.insert(5, 0b1)),
+        ];
+        for (what, fill) in fills {
+            let mut n = node();
+            fill(&mut n);
+            assert!(!n.fence_clear(), "{what}");
         }
-    }
-
-    #[test]
-    fn outstanding_blocks_fence() {
-        let mut n = node();
-        n.outstanding.insert(3, Outstanding { waiting_ack: true, ..Default::default() });
-        assert!(!n.fence_clear(Protocol::Erc));
-        n.outstanding.remove(&3);
-        assert!(n.fence_clear(Protocol::Erc));
-    }
-
-    #[test]
-    fn coalescing_buffer_blocks_lazy_fence_only() {
-        let mut n = node();
-        n.cb.push(LineAddr(1), 0);
-        assert!(n.fence_clear(Protocol::Erc));
-        assert!(!n.fence_clear(Protocol::Lrc));
-        assert!(!n.fence_clear(Protocol::LrcExt));
-    }
-
-    #[test]
-    fn unacked_write_through_blocks_lazy_fence() {
-        let mut n = node();
-        n.wt_unacked = 1;
-        assert!(!n.fence_clear(Protocol::Lrc));
-        assert!(n.fence_clear(Protocol::Sc));
-    }
-
-    #[test]
-    fn delayed_writes_block_lazy_ext_only() {
-        let mut n = node();
-        n.delayed_writes.insert(5, 0b1);
-        assert!(n.fence_clear(Protocol::Lrc));
-        assert!(!n.fence_clear(Protocol::LrcExt));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use crate::table::LineMap;
 use crate::types::{LineAddr, Protocol};
 use crate::workload::Op;
 use crate::{Rng, StallKind};
-use lrc_json::{json_enum, json_struct, Cx, Dec, Entries, FromJson, ToJson, Value, Via};
+use lrc_json::{
+    json_enum, json_struct, Cx, Dec, Entries, FromJson, OrDefault, Plain, ToJson, Value, Via,
+};
 
 impl ToJson for Protocol {
     fn to_json(&self) -> Value {
@@ -268,40 +270,11 @@ json_struct!(CrashStats {
     data_loss,
 });
 
-// MachineStats is hand-written (not `json_struct!`) for one reason: stats
-// files written before the crash subsystem existed have no "crashes" key,
-// and they must keep loading — a missing key defaults to the all-zero
-// crashes-off signature.
-impl ToJson for MachineStats {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("procs".into(), self.procs.to_json()),
-            ("total_cycles".into(), self.total_cycles.to_json()),
-            ("faults".into(), self.faults.to_json()),
-            ("resources".into(), self.resources.to_json()),
-            ("latencies".into(), self.latencies.to_json()),
-            ("races".into(), self.races.to_json()),
-            ("crashes".into(), self.crashes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MachineStats {
-    fn from_json(v: &Value) -> Option<MachineStats> {
-        Some(MachineStats {
-            procs: FromJson::from_json(v.get("procs")?)?,
-            total_cycles: FromJson::from_json(v.get("total_cycles")?)?,
-            faults: FromJson::from_json(v.get("faults")?)?,
-            resources: FromJson::from_json(v.get("resources")?)?,
-            latencies: FromJson::from_json(v.get("latencies")?)?,
-            races: FromJson::from_json(v.get("races")?)?,
-            crashes: match v.get("crashes") {
-                Some(cv) => FromJson::from_json(cv)?,
-                None => CrashStats::default(),
-            },
-        })
-    }
-}
+// Stats files written before the crash subsystem existed have no
+// "crashes" key; they load with the all-zero crashes-off signature.
+json_struct!(MachineStats {
+    procs, total_cycles, faults, resources, latencies, races, crashes: OrDefault<Plain>
+});
 
 #[cfg(test)]
 mod tests {

@@ -94,9 +94,22 @@ impl Protocol {
         }
     }
 
-    /// True for the two lazy variants (write-through + weak state).
-    pub fn is_lazy(self) -> bool {
+    /// SC: a write stalls the processor until it globally performs, so
+    /// nothing is buffered and a release needs no fence.
+    pub const fn stalls_on_write(self) -> bool {
+        matches!(self, Protocol::Sc)
+    }
+
+    /// The lazy pair: write-through + coalescing buffer, the weak directory
+    /// state, invalidation at acquire, and the lazy directory cost.
+    pub const fn is_lazy(self) -> bool {
         matches!(self, Protocol::Lrc | Protocol::LrcExt)
+    }
+
+    /// Lazy-ext: write notices wait in the delayed-write table until the
+    /// release (or the line's eviction).
+    pub const fn defers_notices(self) -> bool {
+        matches!(self, Protocol::LrcExt)
     }
 
     /// Parse a CLI-style protocol name (`sc`, `eager`/`erc`, `lazy`/`lrc`,
@@ -143,10 +156,19 @@ mod tests {
             assert_eq!(Protocol::parse(p.name()), Some(p));
         }
         assert_eq!(Protocol::parse("bogus"), None);
-        assert!(Protocol::Lrc.is_lazy());
-        assert!(Protocol::LrcExt.is_lazy());
-        assert!(!Protocol::Erc.is_lazy());
-        assert!(!Protocol::Sc.is_lazy());
+    }
+
+    #[test]
+    fn capability_table() {
+        // (protocol, stalls_on_write, is_lazy, defers_notices)
+        for (p, caps) in [
+            (Protocol::Sc, (true, false, false)),
+            (Protocol::Erc, (false, false, false)),
+            (Protocol::Lrc, (false, true, false)),
+            (Protocol::LrcExt, (false, true, true)),
+        ] {
+            assert_eq!((p.stalls_on_write(), p.is_lazy(), p.defers_notices()), caps, "{p}");
+        }
     }
 
     #[test]

@@ -44,9 +44,18 @@ cargo test --workspace -q
 echo "==> benchmark package: build + test perfbench/"
 # perfbench/ is its own Cargo workspace (BENCHMARK.json runs it), so the
 # --workspace stages above never compile it: a change to a workspace
-# crate's public API could otherwise break the benchmark unseen.
+# crate's public API could otherwise break the benchmark unseen. Cargo
+# refreshes perfbench/Cargo.lock when a workspace crate's dependencies
+# change, so the committed lockfile is put back afterwards — also when the
+# stage fails — and CI leaves the tree as it found it.
+lockcopy=$(mktemp /tmp/perfbench_lock.XXXXXX)
+cp perfbench/Cargo.lock "$lockcopy"
+restore_lock() { cp "$lockcopy" perfbench/Cargo.lock && rm -f "$lockcopy"; }
+trap restore_lock EXIT
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
+restore_lock
+trap - EXIT
 
 echo "==> cli contract: --help exits 0, bad input exits 2 before any work"
 # Every binary parses its whole command line (through lrc_sim::cli) before
